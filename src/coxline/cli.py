@@ -104,7 +104,8 @@ def run_sweep(cfg: PointConfig, d_max: int, rels=None, max_classes=None) -> Swee
             break
         report.classes_checked += 1
         expected = picard.chi(D)
-        counted = len(enumerate_standard_monomials(D))
+        mons = enumerate_standard_monomials(D)
+        counted = len(mons)
         if counted != expected:
             report.add_failure(D, "standard monomial count", expected, counted)
         levels = [coxmono.count_at_level(D, lam) for lam in range(0, D.d + 1)]
@@ -119,7 +120,7 @@ def run_sweep(cfg: PointConfig, d_max: int, rels=None, max_classes=None) -> Swee
         h0_oracle = oracle.h0_rank(cfg, D)
         if h0_oracle != expected:
             report.add_failure(D, "oracle interpolation rank", expected, h0_oracle)
-        if not oracle.verify_basis_independence(cfg, D):
+        if not oracle.verify_basis_independence(cfg, D, mons):
             report.add_failure(D, "basis independence", True, False)
     return report.finalize()
 
@@ -177,7 +178,7 @@ def _basis_payload(cfg: PointConfig, D: DivisorClass) -> dict:
         "divisor": D.to_json(),
         "h0": picard.h0(D),
         "monomials": entries,
-        "independent": oracle.verify_basis_independence(cfg, D),
+        "independent": oracle.verify_basis_independence(cfg, D, mons),
     }
 
 

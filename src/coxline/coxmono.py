@@ -119,6 +119,12 @@ def degree_of(m: CoxMonomial) -> DivisorClass:
     )
 
 
+def has_degree(m: CoxMonomial, D: DivisorClass) -> bool:
+    """degree_of(m) == D, as plain arithmetic on the exponents."""
+    lam = m.lam
+    return lam + sum(m.sigma) == D.d and tuple(lam + s - e for s, e in zip(m.sigma, m.epsilon)) == D.a
+
+
 def generators(n: int) -> list[tuple[str, CoxMonomial]]:
     """The 2n + 1 ring generators with their display names."""
     gens = [("l", CoxMonomial.gen_l(n))]
@@ -157,12 +163,15 @@ def enumerate_standard_monomials(D: DivisorClass) -> StandardMonomialSet:
     sigma[i] - epsilon[i] = a[i] - lam pin sigma[i] = max(a[i] - lam, 0) for
     i <= n-2 (complementarity), leaving a single free interval for
     sigma[n-1].  Listing is by ascending lam, then ascending sigma[n-1].
+
+    Each monomial is checked to have degree D and to avoid the initial
+    ideal; with non-negative exponents these two imply the forced values.
     """
     n, d, a = D.n, D.d, D.a
     found = []
     for lam in range(0, d + 1):
-        sig_forced = [max(a[i] - lam, 0) for i in range(n - 2)]
-        eps_forced = [max(lam - a[i], 0) for i in range(n - 2)]
+        sig_forced = tuple(max(a[i] - lam, 0) for i in range(n - 2))
+        eps_forced = tuple(max(lam - a[i], 0) for i in range(n - 2))
         rest = d - lam - sum(sig_forced)
         if rest < 0:
             continue
@@ -172,15 +181,13 @@ def enumerate_standard_monomials(D: DivisorClass) -> StandardMonomialSet:
             s_last = rest - s_pen
             m = CoxMonomial(
                 lam,
-                tuple(sig_forced) + (s_pen, s_last),
-                tuple(eps_forced) + (s_pen - a[n - 2] + lam, s_last - a[n - 1] + lam),
+                sig_forced + (s_pen, s_last),
+                eps_forced + (s_pen - a[n - 2] + lam, s_last - a[n - 1] + lam),
             )
-            assert degree_of(m) == D
-            assert not in_initial_ideal(m)
-            assert all(
-                m.sigma[i] == max(a[i] - lam, 0) and m.epsilon[i] == max(lam - a[i], 0)
-                for i in range(n - 2)
-            )
+            if not has_degree(m, D):
+                raise ArithmeticError(f"enumerated {m} does not have degree {D}")
+            if in_initial_ideal(m):
+                raise ArithmeticError(f"enumerated {m} lies in the initial ideal")
             found.append(m)
     return StandardMonomialSet(D, tuple(found))
 
@@ -201,8 +208,9 @@ def count_standard_monomials_closed_form(D: DivisorClass) -> int:
     total = 0
     for lam in range(0, D.d + 1):
         s = count_at_level(D, lam)
-        assert s >= 0, f"per-level count went negative on a nef class: {D}, lam={lam}"
-        total += max(s, 0)
+        if s < 0:
+            raise ArithmeticError(f"per-level count went negative on a nef class: {D}, lam={lam}")
+        total += s
     return total
 
 

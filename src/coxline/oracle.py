@@ -4,21 +4,28 @@ Coordinates are fixed once and for all: the base line Y is {y = 0}, the
 blown-up points are p[i] = (t[i] : 0 : 1) for pairwise distinct rational
 t[i], and q is a rational point off Y.  Sections of d*L - sum(a[i]*E[i])
 are then degree-d plane forms with multiplicity >= a[i] at p[i], so every
-dimension claim can be settled by the exact rank of a rational constraint
-matrix, independently of any cone or counting formula.
+dimension claim can be settled by the exact rank of a constraint matrix,
+independently of any cone or counting formula.
+
+The points and the lines through q are scaled once to primitive integer
+coordinates.  Projective scaling multiplies each constraint row and each
+realized form by a nonzero constant, which changes neither vanishing nor
+rank, so the whole oracle computes over Z; only the printed forms are
+divided back to lines with leading coefficient 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, perm
+from math import gcd, lcm, perm
 
 from . import coxmono, picard
 from .picard import DivisorClass
 
 Point3 = tuple[Fraction, Fraction, Fraction]
+IntVec3 = tuple[int, int, int]
 
 
 def _frac(x) -> Fraction:
@@ -48,6 +55,20 @@ def _cross(p, q) -> Point3:
     )
 
 
+def _primitive(v) -> IntVec3:
+    """A nonzero rational triple scaled to coprime integers, leading entry > 0."""
+    den = lcm(*(_frac(x).denominator for x in v))
+    ints = [int(x * den) for x in v]
+    g = gcd(*ints)
+    if next(c for c in ints if c) < 0:
+        g = -g
+    return tuple(c // g for c in ints)
+
+
+def _lead(v: IntVec3) -> int:
+    return next(c for c in v if c)
+
+
 @dataclass(frozen=True)
 class PointConfig:
     """n points and an auxiliary point q fixing all section forms.
@@ -56,11 +77,17 @@ class PointConfig:
     collinear layout p[i] = (t[i] : 0 : 1) was used and is None otherwise;
     the structural identities of the library assume the collinear layout,
     and `explicit` exists so tests can probe what breaks without it.
+
+    int_points and int_lines are the points and the lines through q and
+    each point, scaled to primitive integer coordinates with a positive
+    leading entry; the oracle computes with these alone.
     """
 
     points: tuple[Point3, ...]
     q: Point3
     t: tuple[Fraction, ...] | None = None
+    int_points: tuple[IntVec3, ...] = field(init=False, repr=False, compare=False)
+    int_lines: tuple[IntVec3, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(_point(p) for p in self.points))
@@ -71,16 +98,26 @@ class PointConfig:
             raise ValueError("need at least one point")
         if self.q[1] == 0:
             raise ValueError("q must not lie on the base line {y = 0}")
-        for i, p in enumerate(self.points, start=1):
-            if all(c == 0 for c in _cross(self.q, p)):
+        q = _primitive(self.q)
+        points = tuple(_primitive(p) for p in self.points)
+        for i, p in enumerate(points, start=1):
+            if all(c == 0 for c in _cross(q, p)):
                 raise ValueError(f"q coincides with p{i}")
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                if _det3(self.q, self.points[i], self.points[j]) == 0:
+                if _det3(q, points[i], points[j]) == 0:
                     raise ValueError(
                         f"p{i + 1}, p{j + 1} and q are collinear; "
                         "the lines through q would not separate the points"
                     )
+        object.__setattr__(self, "int_points", points)
+        object.__setattr__(self, "int_lines", tuple(_primitive(_cross(q, p)) for p in points))
+        # every oracle cache is keyed by the config: hash its Fractions once,
+        # not on every lookup
+        object.__setattr__(self, "_hash", hash((self.points, self.q, self.t)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -250,17 +287,14 @@ class HomogeneousForm:
         return f"HomogeneousForm({self})"
 
 
-def _normalize_linear(coeffs) -> HomogeneousForm:
-    # leading nonzero coefficient in x > y > z order scaled to 1
-    lead = next(c for c in coeffs if c != 0)
-    return HomogeneousForm.linear(*(c / lead for c in coeffs))
-
-
 @lru_cache(maxsize=None)
 def line_forms(cfg: PointConfig) -> tuple[HomogeneousForm, tuple[HomogeneousForm, ...]]:
-    """The form of the base line Y and the lines through q and each p[i]."""
+    """The form of the base line Y and the lines through q and each p[i],
+    each with its leading coefficient (x > y > z order) scaled to 1."""
     ly = HomogeneousForm.linear(0, 1, 0)
-    lines = tuple(_normalize_linear(_cross(cfg.q, p)) for p in cfg.points)
+    lines = tuple(
+        HomogeneousForm.linear(*(Fraction(c, _lead(line)) for c in line)) for line in cfg.int_lines
+    )
     return ly, lines
 
 
@@ -279,7 +313,7 @@ def _column_index(d: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _point_rows(point: Point3, d: int, mult: int) -> tuple[dict, ...]:
+def _point_rows(point, d: int, mult: int) -> tuple[dict, ...]:
     """Vanishing-to-order-mult conditions at one point, as sparse rows.
 
     One row per partial derivative of order mult - 1; for homogeneous forms
@@ -311,11 +345,12 @@ def _point_rows(point: Point3, d: int, mult: int) -> tuple[dict, ...]:
 
 
 def constraint_rows(cfg: PointConfig, D: DivisorClass) -> list[dict]:
-    """Sparse rows of the interpolation matrix for D (multiplicities clamped at 0)."""
+    """Sparse integer rows of the interpolation matrix for D, built from the
+    integer points (multiplicities clamped at 0)."""
     if cfg.n != D.n:
         raise ValueError(f"config has {cfg.n} points but class has n = {D.n}")
     rows = []
-    for p, ai in zip(cfg.points, D.a):
+    for p, ai in zip(cfg.int_points, D.a):
         if ai > 0:
             rows.extend(_point_rows(p, D.d, ai))
     return rows
@@ -334,50 +369,73 @@ def h0_rank(cfg: PointConfig, D: DivisorClass) -> int:
     return ncols - _rank_of_sparse_rows(constraint_rows(cfg, D))
 
 
+@lru_cache(maxsize=None)
+def _line_product(cfg: PointConfig, sigma: tuple[int, ...]) -> dict:
+    """Product of the integer lines int_lines[i]^sigma[i], as a map from
+    exponent triples to nonzero ints."""
+    for i in range(len(sigma) - 1, -1, -1):
+        if sigma[i]:
+            smaller = sigma[:i] + (sigma[i] - 1,) + sigma[i + 1 :]
+            cx, cy, cz = cfg.int_lines[i]
+            out = {}
+            for (ex, ey, ez), v in _line_product(cfg, smaller).items():
+                for e, c in (((ex + 1, ey, ez), cx), ((ex, ey + 1, ez), cy), ((ex, ey, ez + 1), cz)):
+                    if c:
+                        out[e] = out.get(e, 0) + c * v
+            return {e: v for e, v in out.items() if v}
+    return {(0, 0, 0): 1}
+
+
+def _realized_vector(cfg: PointConfig, m: coxmono.CoxMonomial, index: dict) -> dict:
+    """Column -> int coefficient of y^lam * prod(int_lines[i]^sigma[i]), a
+    nonzero multiple of realize_monomial(cfg, m)."""
+    lam = m.lam
+    return {index[ex, ey + lam, ez]: c for (ex, ey, ez), c in _line_product(cfg, m.sigma).items()}
+
+
 def realize_monomial(cfg: PointConfig, m: coxmono.CoxMonomial) -> HomogeneousForm:
-    """Plane form of a monomial: ly^lam times the product of the li^sigma[i].
+    """Plane form of a monomial: ly^lam times the product of the li^sigma[i],
+    with each line li scaled to leading coefficient 1.
 
     The e-exponents contribute no plane factor; they only shift the target
     multiplicities, so the result vanishes at p[i] to order >= lam + sigma[i].
     """
     if cfg.n != m.n:
         raise ValueError(f"config has {cfg.n} points but monomial has n = {m.n}")
-    ly, _ = line_forms(cfg)
-    return ly**m.lam * _sigma_product(cfg, m.sigma)
+    den = 1
+    for line, s in zip(cfg.int_lines, m.sigma):
+        den *= _lead(line) ** s
+    lam = m.lam
+    return HomogeneousForm(
+        lam + sum(m.sigma),
+        {(ex, ey + lam, ez): Fraction(c, den) for (ex, ey, ez), c in _line_product(cfg, m.sigma).items()},
+    )
 
 
-@lru_cache(maxsize=None)
-def _sigma_product(cfg: PointConfig, sigma: tuple[int, ...]) -> HomogeneousForm:
-    _, lines = line_forms(cfg)
-    for i in range(len(sigma) - 1, -1, -1):
-        if sigma[i]:
-            smaller = sigma[:i] + (sigma[i] - 1,) + sigma[i + 1 :]
-            return _sigma_product(cfg, smaller) * lines[i]
-    return HomogeneousForm.constant(1)
-
-
-def verify_basis_independence(cfg: PointConfig, D: DivisorClass) -> bool:
+def verify_basis_independence(cfg: PointConfig, D: DivisorClass, mons=None) -> bool:
     """Check that the standard monomials of degree D realize a section basis.
 
-    True iff every realized form satisfies the vanishing constraints, the
-    forms are linearly independent, and their number equals the
-    interpolation dimension h0_rank(cfg, D).
+    mons are those monomials when the caller has already enumerated them.
+    True iff every monomial has degree D, every realized form satisfies the
+    vanishing constraints, the forms are linearly independent, and their
+    number equals the interpolation dimension h0_rank(cfg, D).  The forms
+    are the integer products of the lines, times y^lam as an exponent shift.
     """
     if not picard.is_effective(D):
         raise ValueError(f"basis verification needs an effective class, got {D}")
-    mons = coxmono.enumerate_standard_monomials(D)
+    if mons is None:
+        mons = coxmono.enumerate_standard_monomials(D)
     rows = constraint_rows(cfg, D)
     index = _column_index(D.d)
     vectors = []
     for m in mons:
-        form = realize_monomial(cfg, m)
-        if form.degree != D.d:
+        if not coxmono.has_degree(m, D):
             return False
-        vec = {index[e]: c for e, c in form.coeffs.items()}
+        vec = _realized_vector(cfg, m, index)
         if any(_sparse_dot(row, vec) != 0 for row in rows):
             return False
         vectors.append(vec)
-    if len(mons) != h0_rank(cfg, D):
+    if len(vectors) != h0_rank(cfg, D):
         return False
     return _rank_of_sparse_rows(vectors) == len(vectors)
 
@@ -392,7 +450,7 @@ def exact_rank(M) -> int:
     return _rank_of_sparse_rows(rows)
 
 
-def _sparse_dot(u: dict, v: dict) -> Fraction:
+def _sparse_dot(u: dict, v: dict):
     if len(u) > len(v):
         u, v = v, u
     total = 0
@@ -413,14 +471,14 @@ def _integerized(row: dict) -> dict:
 
 def _rank_of_sparse_rows(rows) -> int:
     """Fraction-free elimination on sparse rows: clear denominators once per
-    row, then combine by integer cross-multiplication with gcd reduction.
-    Pivoting is by leftmost column in input order, so the result is
-    deterministic.
+    row that has any, then combine by integer cross-multiplication with gcd
+    reduction.  Pivoting is by leftmost column in input order, so the
+    result is deterministic.
     """
     pivots: dict[int, dict] = {}
     rank = 0
     for row in rows:
-        r = _integerized(row)
+        r = row if all(type(v) is int for v in row.values()) else _integerized(row)
         while r:
             c = min(r)
             piv = pivots.get(c)

@@ -187,7 +187,8 @@ def derive_relations(cfg: PointConfig) -> list[Relation]:
     for i in range(1, n - 1):
         a, b = _line_dependency(lines[i - 1], lines[n - 2], lines[n - 1])
         residual = lines[i - 1] + lines[n - 2].scale(a) + lines[n - 1].scale(b)
-        assert residual.is_zero(), f"dependency failed to close for i={i}: {residual}"
+        if not residual.is_zero():
+            raise ArithmeticError(f"dependency failed to close for i={i}: {residual}")
         out.append(Relation(n, i, a, b))
     return out
 

@@ -12,6 +12,7 @@ from coxline.coxmono import (
     enumerate_monomials,
     enumerate_standard_monomials,
     generators,
+    has_degree,
     hilbert_function_RmodJ,
     in_initial_ideal,
 )
@@ -61,6 +62,11 @@ def test_degree_examples():
     le123 = CoxMonomial.gen_l(n) * CoxMonomial.gen_e(n, 1) * CoxMonomial.gen_e(n, 2) * CoxMonomial.gen_e(n, 3)
     assert degree_of(le123) == L
     assert degree_of(CoxMonomial.unit(n)) == DivisorClass.zero(n)
+    # the arithmetic check agrees with building the class
+    mons = (s1e1, le123, CoxMonomial.unit(n), CoxMonomial(2, (1, 0, 3), (0, 2, 1)), CoxMonomial.unit(4))
+    for m in mons:
+        for D in (L, DivisorClass.zero(n), DivisorClass(6, (3, 0, 4)), DivisorClass.zero(4), degree_of(m)):
+            assert has_degree(m, D) == (degree_of(m) == D)
 
 
 def test_degree_additive_under_multiplication():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxline import picard
+from coxline import oracle, picard
 from coxline.coxmono import CoxMonomial, enumerate_standard_monomials
 from coxline.oracle import (
     HomogeneousForm,
@@ -241,3 +241,71 @@ def test_load_config(tmp_path):
     missing.write_text("q = 0,1,0\n")
     with pytest.raises(ValueError):
         load_config(missing)
+
+
+# the acceptance suite's rational configuration; its n = 3 case is CFG3_ALT
+T_POOL_A = (Fraction(-1), Fraction(1, 2), Fraction(3), Fraction(9, 2))
+
+
+def integer_path_configs():
+    for n in (2, 3, 4):
+        yield PointConfig.default(n)
+        yield PointConfig.collinear(T_POOL_A[:n], q=(1, 2, 1))
+
+
+def fraction_realization(cfg, lam, sigma):
+    """y^lam times the lines through q and p[i], multiplied out over the
+    Fraction points with no scaling: the path the integer oracle replaced."""
+    form = HomogeneousForm.linear(0, 1, 0) ** lam
+    q = cfg.q
+    for p, s in zip(cfg.points, sigma):
+        line = HomogeneousForm.linear(
+            q[1] * p[2] - q[2] * p[1], q[2] * p[0] - q[0] * p[2], q[0] * p[1] - q[1] * p[0]
+        )
+        form = form * line**s
+    return form
+
+
+def assert_rational_multiple(vec, ref):
+    assert vec and set(vec) == set(ref)
+    j = next(iter(vec))
+    ratio = Fraction(ref[j]) / vec[j]
+    assert ratio != 0
+    assert all(ref[k] == ratio * v for k, v in vec.items())
+
+
+def test_integer_realization_is_a_multiple_of_the_fraction_path():
+    for cfg in integer_path_configs():
+        n = cfg.n
+        for d in range(0, 7):
+            index = {e: j for j, e in enumerate(monomials_of_degree(d))}
+            for lam in range(0, d + 1):
+                for sigma in itertools.product(range(d - lam + 1), repeat=n):
+                    if sum(sigma) != d - lam:
+                        continue
+                    m = CoxMonomial(lam, sigma, (0,) * n)
+                    vec = oracle._realized_vector(cfg, m, index)
+                    assert all(type(c) is int for c in vec.values())
+                    for form in (realize_monomial(cfg, m), fraction_realization(cfg, lam, sigma)):
+                        assert form.degree == d
+                        assert_rational_multiple(vec, {index[e]: c for e, c in form.coeffs.items()})
+
+
+def test_integer_rows_have_the_rank_of_the_fraction_rows():
+    for cfg in integer_path_configs():
+        for d in range(0, 7):
+            ncols = len(monomials_of_degree(d))
+            for p_int, p in zip(cfg.int_points, cfg.points):
+                for mult in range(1, d + 2):
+                    for r_int, r in zip(oracle._point_rows(p_int, d, mult), oracle._point_rows(p, d, mult)):
+                        assert_rational_multiple(r_int, r)
+            # a >= 0 with sum(a) <= d + 2: the nef classes, the vanishing
+            # region and the first classes past it, where the rows drop rank
+            for a in itertools.product(range(d + 3), repeat=cfg.n):
+                if sum(a) > d + 2:
+                    continue
+                D = DivisorClass(d, a)
+                rows = constraint_rows(cfg, D)
+                assert all(type(c) is int for row in rows for c in row.values())
+                fraction_rows = [r for p, ai in zip(cfg.points, D.a) if ai > 0 for r in oracle._point_rows(p, d, ai)]
+                assert dense_rank(densify(rows, ncols)) == dense_rank(densify(fraction_rows, ncols))
