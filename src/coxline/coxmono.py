@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .picard import DivisorClass, is_nef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoxMonomial:
     """Exponent vector (lam; sigma[1..n]; epsilon[1..n]), all non-negative."""
 
@@ -28,16 +28,20 @@ class CoxMonomial:
     sigma: tuple[int, ...]
     epsilon: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", int(self.lam))
-        object.__setattr__(self, "sigma", tuple(int(x) for x in self.sigma))
-        object.__setattr__(self, "epsilon", tuple(int(x) for x in self.epsilon))
-        if len(self.sigma) != len(self.epsilon):
+    def __init__(self, lam: int, sigma, epsilon):
+        # converted and checked in locals, so each field is set once
+        lam = int(lam)
+        sigma = tuple(map(int, sigma))
+        epsilon = tuple(map(int, epsilon))
+        if len(sigma) != len(epsilon):
             raise ValueError("sigma and epsilon must have the same length")
-        if self.n < 2:
+        if len(sigma) < 2:
             raise ValueError("need n >= 2")
-        if self.lam < 0 or min(self.sigma + self.epsilon) < 0:
+        if lam < 0 or min(sigma) < 0 or min(epsilon) < 0:
             raise ValueError("exponents must be non-negative")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "epsilon", epsilon)
 
     @property
     def n(self) -> int:
@@ -121,8 +125,14 @@ def degree_of(m: CoxMonomial) -> DivisorClass:
 
 def has_degree(m: CoxMonomial, D: DivisorClass) -> bool:
     """degree_of(m) == D, as plain arithmetic on the exponents."""
-    lam = m.lam
-    return lam + sum(m.sigma) == D.d and tuple(lam + s - e for s, e in zip(m.sigma, m.epsilon)) == D.a
+    lam, sigma = m.lam, m.sigma
+    # zip would truncate, so the lengths are compared first
+    if len(sigma) != len(D.a) or lam + sum(sigma) != D.d:
+        return False
+    for s, e, ai in zip(sigma, m.epsilon, D.a):
+        if lam + s - e != ai:
+            return False
+    return True
 
 
 def generators(n: int) -> list[tuple[str, CoxMonomial]]:

@@ -386,11 +386,44 @@ def _line_product(cfg: PointConfig, sigma: tuple[int, ...]) -> dict:
     return {(0, 0, 0): 1}
 
 
-def _realized_vector(cfg: PointConfig, m: coxmono.CoxMonomial, index: dict) -> dict:
-    """Column -> int coefficient of y^lam * prod(int_lines[i]^sigma[i]), a
-    nonzero multiple of realize_monomial(cfg, m)."""
-    lam = m.lam
-    return {index[ex, ey + lam, ez]: c for (ex, ey, ez), c in _line_product(cfg, m.sigma).items()}
+@lru_cache(maxsize=None)
+def _realized_vector(cfg: PointConfig, lam: int, sigma: tuple[int, ...]) -> dict:
+    """Column -> int coefficient of y^lam * prod(int_lines[i]^sigma[i]) in
+    degree lam + sum(sigma), a nonzero multiple of the realized form of
+    every monomial with this (lam, sigma)."""
+    index = _column_index(lam + sum(sigma))
+    return {index[ex, ey + lam, ez]: c for (ex, ey, ez), c in _line_product(cfg, sigma).items()}
+
+
+@lru_cache(maxsize=None)
+def _vanishes_at(cfg: PointConfig, j: int, mult: int, lam: int, sigma: tuple[int, ...]) -> bool:
+    """Exact dot check of the realized vector of (lam, sigma) against the
+    rows of order-mult vanishing at int_points[j].  The rows of a class are
+    the union of these per-point rows, so the check is shared by every
+    class with the same multiplicity at p[j]."""
+    vec = _realized_vector(cfg, lam, sigma)
+    rows = _point_rows(cfg.int_points[j], lam + sum(sigma), mult)
+    return all(_sparse_dot(row, vec) == 0 for row in rows)
+
+
+@lru_cache(maxsize=None)
+def _independent_family(cfg: PointConfig, d: int, head: tuple[int, ...]) -> frozenset:
+    """The (lam, sigma) of the standard monomials of (d; head, 0, 0) when
+    their realized vectors are linearly independent, else the empty set.
+
+    The rule is the vanishing-order one, not coxmono's enumeration: sigma[i]
+    = max(head[i] - lam, 0), and the last two sigma split the rest freely.
+    Every class (d; head, a, b) has its (lam, sigma) among these, and a
+    subset of independent vectors is independent, so one exact rank here
+    serves the whole family.
+    """
+    keys = []
+    for lam in range(d + 1):
+        forced = tuple(max(ai - lam, 0) for ai in head)
+        rest = d - lam - sum(forced)
+        keys.extend((lam, forced + (s, rest - s)) for s in range(rest + 1))
+    vectors = [_realized_vector(cfg, lam, sigma) for lam, sigma in keys]
+    return frozenset(keys) if _rank_of_sparse_rows(vectors) == len(vectors) else frozenset()
 
 
 def realize_monomial(cfg: PointConfig, m: coxmono.CoxMonomial) -> HomogeneousForm:
@@ -420,23 +453,33 @@ def verify_basis_independence(cfg: PointConfig, D: DivisorClass, mons=None) -> b
     vanishing constraints, the forms are linearly independent, and their
     number equals the interpolation dimension h0_rank(cfg, D).  The forms
     are the integer products of the lines, times y^lam as an exponent shift.
+
+    Each fact is computed once per config and shared across classes: the
+    vector of each (lam, sigma), its vanishing at each point and
+    multiplicity, and the rank of each family (d; a[1..n-2], *, *).  The
+    forms are independent when their (lam, sigma) are distinct members of a
+    family of full rank; otherwise their own rank is taken.
     """
     if not picard.is_effective(D):
         raise ValueError(f"basis verification needs an effective class, got {D}")
+    if cfg.n != D.n:
+        raise ValueError(f"config has {cfg.n} points but class has n = {D.n}")
     if mons is None:
         mons = coxmono.enumerate_standard_monomials(D)
-    rows = constraint_rows(cfg, D)
-    index = _column_index(D.d)
-    vectors = []
+    mults = [(j, aj) for j, aj in enumerate(D.a) if aj > 0]
+    keys = []
     for m in mons:
         if not coxmono.has_degree(m, D):
             return False
-        vec = _realized_vector(cfg, m, index)
-        if any(_sparse_dot(row, vec) != 0 for row in rows):
+        lam, sigma = m.lam, m.sigma
+        if not all(_vanishes_at(cfg, j, aj, lam, sigma) for j, aj in mults):
             return False
-        vectors.append(vec)
-    if len(vectors) != h0_rank(cfg, D):
+        keys.append((lam, sigma))
+    if len(keys) != h0_rank(cfg, D):
         return False
+    if len(set(keys)) == len(keys) and _independent_family(cfg, D.d, D.a[:-2]).issuperset(keys):
+        return True
+    vectors = [_realized_vector(cfg, lam, sigma) for lam, sigma in keys]
     return _rank_of_sparse_rows(vectors) == len(vectors)
 
 

@@ -133,7 +133,6 @@ class FixedPart:
         return self.l == 0 and not any(self.e)
 
     def divisor(self) -> DivisorClass:
-        n = len(self.e)
         return DivisorClass(self.l, tuple(self.l - ei for ei in self.e))
 
     def to_json(self) -> dict:

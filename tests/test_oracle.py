@@ -284,7 +284,7 @@ def test_integer_realization_is_a_multiple_of_the_fraction_path():
                     if sum(sigma) != d - lam:
                         continue
                     m = CoxMonomial(lam, sigma, (0,) * n)
-                    vec = oracle._realized_vector(cfg, m, index)
+                    vec = oracle._realized_vector(cfg, lam, sigma)
                     assert all(type(c) is int for c in vec.values())
                     for form in (realize_monomial(cfg, m), fraction_realization(cfg, lam, sigma)):
                         assert form.degree == d
@@ -309,3 +309,47 @@ def test_integer_rows_have_the_rank_of_the_fraction_rows():
                 assert all(type(c) is int for row in rows for c in row.values())
                 fraction_rows = [r for p, ai in zip(cfg.points, D.a) if ai > 0 for r in oracle._point_rows(p, d, ai)]
                 assert dense_rank(densify(rows, ncols)) == dense_rank(densify(fraction_rows, ncols))
+
+
+CFG4_POOL_A = PointConfig.collinear(T_POOL_A, q=(1, 2, 1))
+
+
+def test_a_repeated_monomial_is_caught_by_the_rank():
+    # one monomial replaced by a repeat of another: degree, vanishing and
+    # count still pass, so only the independence check can reject it
+    for cfg, D in ((CFG3, DivisorClass(4, (2, 1, 1))), (CFG4_POOL_A, DivisorClass(4, (1, 1, 1, 0)))):
+        mons = list(enumerate_standard_monomials(D))
+        assert len(mons) == h0_rank(cfg, D) > 1
+        assert verify_basis_independence(cfg, D, mons)
+        assert not verify_basis_independence(cfg, D, mons[:-1] + mons[:1])
+
+
+def test_class_of_another_n_is_a_value_error():
+    with pytest.raises(ValueError, match="points"):
+        verify_basis_independence(CFG3, DivisorClass(2, (1, 0, 0, 0)))
+    with pytest.raises(ValueError, match="points"):
+        verify_basis_independence(CFG4_POOL_A, DivisorClass(2, (1, 0, 1)))
+    # monomials of another n never have the class's degree
+    mons4 = list(enumerate_standard_monomials(DivisorClass(2, (1, 0, 0, 0))))
+    assert not verify_basis_independence(CFG3, DivisorClass(2, (1, 0, 0)), mons4)
+
+
+def test_family_certificate_agrees_with_the_direct_rank():
+    # every effective class with a_i in -1..d, nef or not: the verdict of the
+    # shared family rank equals the exact rank of the class's own vectors,
+    # and no class in this range needs the fallback to its own rank
+    classes = certified = 0
+    for cfg in integer_path_configs():
+        for d in range(0, 7):
+            for a in itertools.product(range(-1, d + 1), repeat=cfg.n):
+                D = DivisorClass(d, a)
+                if not picard.is_effective(D):
+                    continue
+                classes += 1
+                mons = list(enumerate_standard_monomials(D))
+                vectors = [oracle._realized_vector(cfg, m.lam, m.sigma) for m in mons]
+                direct = oracle._rank_of_sparse_rows(vectors) == len(vectors)
+                assert verify_basis_independence(cfg, D, mons) == direct
+                family = oracle._independent_family(cfg, d, D.a[:-2])
+                certified += family.issuperset((m.lam, m.sigma) for m in mons)
+    assert certified == classes > 0
