@@ -1,82 +1,24 @@
 """Exact Cox ring computations for blow-ups of the projective plane at
 collinear points: cone tests, section dimensions, standard-monomial bases,
 defining relations, and an interpolation oracle cross-checking all of it.
+
+The package exports the names of the README's library example; everything
+else is imported from the submodules (coxmono, oracle, picard, relations).
 """
 
-from .coxmono import (
-    CoxMonomial,
-    StandardMonomialSet,
-    count_standard_monomials_closed_form,
-    degree_of,
-    enumerate_monomials,
-    enumerate_standard_monomials,
-    hilbert_function_RmodJ,
-)
-from .oracle import (
-    HomogeneousForm,
-    PointConfig,
-    exact_rank,
-    h0_rank,
-    line_forms,
-    realize_monomial,
-    verify_basis_independence,
-)
-from .picard import (
-    DivisorClass,
-    EffectiveCoords,
-    NefCoords,
-    canonical_class,
-    chi,
-    effective_coords,
-    h0,
-    intersect,
-    is_effective,
-    is_nef,
-    nef_coords,
-    strip_base_components,
-)
-from .relations import (
-    GradedPolynomial,
-    Relation,
-    derive_relations,
-    normal_form,
-    spoly_reduce,
-    verify_relation_geometrically,
-)
+from .coxmono import enumerate_standard_monomials
+from .oracle import PointConfig, h0_rank
+from .picard import DivisorClass, chi, h0
+from .relations import derive_relations
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoxMonomial",
     "DivisorClass",
-    "EffectiveCoords",
-    "GradedPolynomial",
-    "HomogeneousForm",
-    "NefCoords",
     "PointConfig",
-    "Relation",
-    "StandardMonomialSet",
-    "canonical_class",
     "chi",
-    "count_standard_monomials_closed_form",
-    "degree_of",
     "derive_relations",
-    "effective_coords",
-    "enumerate_monomials",
     "enumerate_standard_monomials",
-    "exact_rank",
     "h0",
     "h0_rank",
-    "hilbert_function_RmodJ",
-    "intersect",
-    "is_effective",
-    "is_nef",
-    "line_forms",
-    "nef_coords",
-    "normal_form",
-    "realize_monomial",
-    "spoly_reduce",
-    "strip_base_components",
-    "verify_basis_independence",
-    "verify_relation_geometrically",
 ]

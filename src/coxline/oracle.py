@@ -159,12 +159,19 @@ def load_config(path) -> PointConfig:
             keys[key.strip()] = value.strip()
     if "t" not in keys:
         raise ValueError(f"{path}: missing required key 't'")
-    t = [Fraction(tok) for tok in keys["t"].replace(",", " ").split()]
+
+    def rationals(key):
+        try:
+            return [Fraction(tok) for tok in keys[key].replace(",", " ").split()]
+        except ZeroDivisionError:
+            raise ValueError(f"{path}: {key} has a value with denominator 0") from None
+
+    t = rationals("t")
     if "n" in keys and int(keys["n"]) != len(t):
         raise ValueError(f"{path}: n = {keys['n']} does not match {len(t)} values in t")
     q = (0, 1, 0)
     if "q" in keys:
-        q = tuple(Fraction(tok) for tok in keys["q"].replace(",", " ").split())
+        q = tuple(rationals("q"))
         if len(q) != 3:
             raise ValueError(f"{path}: q must have three coordinates")
     return PointConfig.collinear(t, q)
@@ -445,14 +452,16 @@ def realize_monomial(cfg: PointConfig, m: coxmono.CoxMonomial) -> HomogeneousFor
     )
 
 
-def verify_basis_independence(cfg: PointConfig, D: DivisorClass, mons=None) -> bool:
-    """Check that the standard monomials of degree D realize a section basis.
+def verify_basis_independence(cfg: PointConfig, D: DivisorClass, mons) -> bool:
+    """Check that mons, the standard monomials of degree D as enumerated by
+    the caller, realize a section basis.
 
-    mons are those monomials when the caller has already enumerated them.
     True iff every monomial has degree D, every realized form satisfies the
     vanishing constraints, the forms are linearly independent, and their
-    number equals the interpolation dimension h0_rank(cfg, D).  The forms
-    are the integer products of the lines, times y^lam as an exponent shift.
+    number equals the interpolation dimension h0_rank(cfg, D).  Enumeration
+    does not check degrees, so this is the one degree check of enumerated
+    monomials.  The forms are the integer products of the lines, times y^lam
+    as an exponent shift.
 
     Each fact is computed once per config and shared across classes: the
     vector of each (lam, sigma), its vanishing at each point and
@@ -464,8 +473,6 @@ def verify_basis_independence(cfg: PointConfig, D: DivisorClass, mons=None) -> b
         raise ValueError(f"basis verification needs an effective class, got {D}")
     if cfg.n != D.n:
         raise ValueError(f"config has {cfg.n} points but class has n = {D.n}")
-    if mons is None:
-        mons = coxmono.enumerate_standard_monomials(D)
     mults = [(j, aj) for j, aj in enumerate(D.a) if aj > 0]
     keys = []
     for m in mons:
@@ -483,16 +490,6 @@ def verify_basis_independence(cfg: PointConfig, D: DivisorClass, mons=None) -> b
     return _rank_of_sparse_rows(vectors) == len(vectors)
 
 
-def exact_rank(M) -> int:
-    """Rank over the rationals of a dense matrix (rows of ints or Fractions)."""
-    rows = []
-    for row in M:
-        sparse = {j: v for j, v in enumerate(row) if v}
-        if sparse:
-            rows.append(sparse)
-    return _rank_of_sparse_rows(rows)
-
-
 def _sparse_dot(u: dict, v: dict):
     if len(u) > len(v):
         u, v = v, u
@@ -504,24 +501,14 @@ def _sparse_dot(u: dict, v: dict):
     return total
 
 
-def _integerized(row: dict) -> dict:
-    den = 1
-    for v in row.values():
-        d = v.denominator if isinstance(v, Fraction) else 1
-        den = den * d // gcd(den, d)
-    return {j: int(v * den) for j, v in row.items()}
-
-
 def _rank_of_sparse_rows(rows) -> int:
-    """Fraction-free elimination on sparse rows: clear denominators once per
-    row that has any, then combine by integer cross-multiplication with gcd
-    reduction.  Pivoting is by leftmost column in input order, so the
-    result is deterministic.
+    """Rank of sparse rows with int entries only, by fraction-free
+    elimination: integer cross-multiplication with gcd reduction.  Pivoting
+    is by leftmost column in input order, so the result is deterministic.
     """
     pivots: dict[int, dict] = {}
     rank = 0
-    for row in rows:
-        r = row if all(type(v) is int for v in row.values()) else _integerized(row)
+    for r in rows:
         while r:
             c = min(r)
             piv = pivots.get(c)

@@ -12,8 +12,8 @@ from coxline.cli import nef_classes, run_sweep
 from coxline.coxmono import (
     count_at_level,
     enumerate_monomials,
+    enumerate_standard_monomials,
     generators,
-    hilbert_function_RmodJ,
     in_initial_ideal,
 )
 from coxline.oracle import PointConfig
@@ -86,7 +86,7 @@ def test_criterion_2_degree_L_census():
         checks = (
             len(all_mons) == n + 1
             and in_ideal == n - 2
-            and hilbert_function_RmodJ(L) == 3
+            and len(enumerate_standard_monomials(L)) == 3
             and picard.h0(L) == 3
             and oracle.h0_rank(cfg, L) == 3
         )

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from coxline import coxmono
 from coxline.cli import main, nef_classes, run_sweep
 from coxline.oracle import PointConfig
 from coxline.picard import DivisorClass
@@ -166,6 +167,13 @@ def test_verify_rejects_negative_dmax(capsys):
     assert "dmax" in err
 
 
+def test_verify_rejects_negative_max_classes(capsys):
+    code, out, err = run_cli(capsys, "verify", "--dmax", "2", "--max-classes", "-1")
+    assert code == 2
+    assert "max-classes" in err
+    assert out == ""
+
+
 def test_verify_class_budget_flags_incomplete(capsys):
     code, payload, _ = run_json(capsys, "verify", "--dmax", "3", "--max-classes", "5")
     assert code == 0  # nothing failed, the sweep just stopped early
@@ -192,6 +200,22 @@ def test_config_file_loading(capsys, tmp_path):
     assert "collinear" in err or "error" in err
 
 
+def test_zero_denominator_in_config_is_a_config_error(tmp_path):
+    # a typo in a config file is exit 2, not a verification failure (exit 1)
+    for key, text in (("t", "t = 0, 1/0, 7\n"), ("q", "t = 0, 1/2, 7\nq = 1, 2/0, 1\n")):
+        cfgfile = tmp_path / f"zero-{key}.cfg"
+        cfgfile.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxline", "--config", str(cfgfile), "relations"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert str(cfgfile) in proc.stderr and f"{key} " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_missing_config_file(capsys):
     code, _, err = run_cli(capsys, "--config", "/nonexistent/x.cfg", "relations")
     assert code == 2
@@ -204,6 +228,20 @@ def test_nef_class_iteration_order():
     assert keys == sorted(keys)
     # d <= 2, a >= 0, sum(a) <= d: 1 + 3 + 6
     assert len(classes) == 10
+
+
+def test_run_sweep_reports_a_negative_level(monkeypatch):
+    # a planted per-level count of -1 at lam = 1: every swept class with
+    # d >= 1 has that level, the classes of d = 0 do not
+    real = coxmono.count_at_level
+    monkeypatch.setattr(coxmono, "count_at_level", lambda D, lam: -1 if lam == 1 else real(D, lam))
+    report = run_sweep(PointConfig.default(3), 2)
+    flagged = {
+        (f["divisor"]["d"], *f["divisor"]["a"])
+        for f in report.failures
+        if f["check"] == "per-level count non-negative"
+    }
+    assert flagged == {(D.d, *D.a) for D in nef_classes(3, 2) if D.d >= 1}
 
 
 def test_run_sweep_counts_classes():

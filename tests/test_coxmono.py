@@ -13,7 +13,6 @@ from coxline.coxmono import (
     enumerate_standard_monomials,
     generators,
     has_degree,
-    hilbert_function_RmodJ,
     in_initial_ideal,
 )
 from coxline.picard import DivisorClass, chi, is_nef
@@ -110,12 +109,12 @@ def test_enumeration_matches_brute_force():
         for D in sweep_classes(n, 3, range(-2, 3)):
             got = enumerate_standard_monomials(D)
             assert set(got) == brute_standard_monomials(D)
-            assert len(set(got)) == len(got.monomials)  # pairwise distinct
+            assert len(set(got)) == len(got)  # pairwise distinct
 
 
 def test_enumeration_canonical_order():
     for D in sweep_classes(3, 4, range(0, 3)):
-        mons = enumerate_standard_monomials(D).monomials
+        mons = enumerate_standard_monomials(D)
         keys = [(m.lam, m.sigma[-2]) for m in mons]
         assert keys == sorted(keys)
 
@@ -156,11 +155,16 @@ def test_closed_form_equals_enumeration_and_chi_on_nef():
             assert closed == chi(D)
 
 
+def hilbert_function(D):
+    """dim of the quotient ring in degree D = number of standard monomials."""
+    return len(enumerate_standard_monomials(D))
+
+
 def test_hilbert_function_examples():
-    assert hilbert_function_RmodJ(DivisorClass.line(5)) == 3
+    assert hilbert_function(DivisorClass.line(5)) == 3
     E1 = DivisorClass.exceptional(3, 1)
-    assert hilbert_function_RmodJ(E1) == 1
-    assert hilbert_function_RmodJ(DivisorClass(2, (0, 0, 0))) == 6
+    assert hilbert_function(E1) == 1
+    assert hilbert_function(DivisorClass(2, (0, 0, 0))) == 6
 
 
 def test_degree_L_census():
@@ -170,7 +174,7 @@ def test_degree_L_census():
         all_mons = enumerate_monomials(L)
         assert len(all_mons) == n + 1
         assert sum(in_initial_ideal(m) for m in all_mons) == n - 2
-        assert hilbert_function_RmodJ(L) == 3
+        assert hilbert_function(L) == 3
 
 
 def test_enumerate_monomials_matches_unconstrained_brute_force():
@@ -190,7 +194,7 @@ def test_enumerate_monomials_matches_unconstrained_brute_force():
 def test_n2_has_no_initial_ideal():
     # with two points the quotient is the whole free ring in every degree
     for D in sweep_classes(2, 4, range(-1, 4)):
-        assert hilbert_function_RmodJ(D) == len(enumerate_monomials(D))
+        assert hilbert_function(D) == len(enumerate_monomials(D))
 
 
 def test_monomial_division_helpers():

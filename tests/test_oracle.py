@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -12,7 +13,6 @@ from coxline.oracle import (
     HomogeneousForm,
     PointConfig,
     constraint_rows,
-    exact_rank,
     h0_rank,
     line_forms,
     monomials_of_degree,
@@ -23,7 +23,8 @@ from coxline.picard import DivisorClass
 
 
 def dense_rank(rows):
-    """Plain fractional Gauss-Jordan, written independently of exact_rank."""
+    """Plain fractional Gauss-Jordan, written independently of the oracle's
+    fraction-free sparse rank."""
     m = [[Fraction(x) for x in row] for row in rows]
     if not m:
         return 0
@@ -114,19 +115,34 @@ def test_constraint_matrix_of_the_collinear_double_point():
     dense = densify(rows, len(monomials_of_degree(2)))
     assert len(dense[0]) == 6
     assert dense_rank(dense) == 4
-    assert exact_rank(dense) == 4
+    assert oracle._rank_of_sparse_rows(rows) == 4
 
 
-def test_exact_rank_basics():
-    assert exact_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
-    assert exact_rank([[0, 0], [0, 0]]) == 0
-    assert exact_rank([]) == 0
-    assert exact_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]) == 1
-    assert exact_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2)]]) == 2
-    assert exact_rank([[1, 2], [2, 4], [3, 6]]) == 1
+def sparse_rank(dense):
+    """The oracle's rank of dense rows, passed as its sparse rows."""
+    return oracle._rank_of_sparse_rows([{j: v for j, v in enumerate(row) if v} for row in dense])
 
 
-def test_exact_rank_against_independent_elimination():
+def integer_rows(m):
+    """Rational rows scaled to integers, one common denominator per row."""
+    out = []
+    for row in m:
+        den = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(x * den) for x in row])
+    return out
+
+
+def test_sparse_rank_basics():
+    assert sparse_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+    assert sparse_rank([[0, 0], [0, 0]]) == 0
+    assert sparse_rank([]) == 0
+    # (1/2, 1/3), (3/2, 1) and (1/2, 1/3), (3/2, 2), scaled to integer rows
+    assert sparse_rank([[3, 2], [3, 2]]) == 1
+    assert sparse_rank([[3, 2], [3, 4]]) == 2
+    assert sparse_rank([[1, 2], [2, 4], [3, 6]]) == 1
+
+
+def test_sparse_rank_against_independent_elimination():
     rng = random.Random(7)
     for trial in range(60):
         nrows = rng.randint(1, 6)
@@ -137,7 +153,7 @@ def test_exact_rank_against_independent_elimination():
         ]
         if trial % 3 == 0 and nrows > 1:
             m[-1] = [2 * x for x in m[0]]  # force a dependency
-        assert exact_rank(m) == dense_rank(m)
+        assert sparse_rank(integer_rows(m)) == dense_rank(m)
 
 
 def test_realize_monomial_examples():
@@ -166,15 +182,19 @@ def test_realized_forms_vanish_to_the_required_order():
                     assert sum(c * vec.get(j, 0) for j, c in row.items()) == 0
 
 
+def verify_enumerated(cfg, D):
+    return verify_basis_independence(cfg, D, enumerate_standard_monomials(D))
+
+
 def test_verify_basis_independence_examples():
-    assert verify_basis_independence(CFG3, DivisorClass.line(3))
-    assert verify_basis_independence(CFG3, DivisorClass.zero(3))
-    assert verify_basis_independence(CFG3, DivisorClass(4, (2, 1, 1)))
+    assert verify_enumerated(CFG3, DivisorClass.line(3))
+    assert verify_enumerated(CFG3, DivisorClass.zero(3))
+    assert verify_enumerated(CFG3, DivisorClass(4, (2, 1, 1)))
 
 
 def test_verify_basis_independence_rejects_non_effective():
     with pytest.raises(ValueError):
-        verify_basis_independence(CFG3, DivisorClass(2, (3, 0, 0)))
+        verify_enumerated(CFG3, DivisorClass(2, (3, 0, 0)))
 
 
 def test_vanishing_region_rank_equals_chi():
@@ -195,9 +215,7 @@ def test_oracle_agrees_across_configs():
             D = DivisorClass(d, a)
             assert h0_rank(CFG3, D) == h0_rank(CFG3_ALT, D) == h0_rank(cfg_b, D)
             if picard.is_effective(D):
-                assert verify_basis_independence(CFG3, D) == verify_basis_independence(
-                    CFG3_ALT, D
-                )
+                assert verify_enumerated(CFG3, D) == verify_enumerated(CFG3_ALT, D)
 
 
 def test_form_arithmetic():
@@ -326,9 +344,9 @@ def test_a_repeated_monomial_is_caught_by_the_rank():
 
 def test_class_of_another_n_is_a_value_error():
     with pytest.raises(ValueError, match="points"):
-        verify_basis_independence(CFG3, DivisorClass(2, (1, 0, 0, 0)))
+        verify_enumerated(CFG3, DivisorClass(2, (1, 0, 0, 0)))
     with pytest.raises(ValueError, match="points"):
-        verify_basis_independence(CFG4_POOL_A, DivisorClass(2, (1, 0, 1)))
+        verify_enumerated(CFG4_POOL_A, DivisorClass(2, (1, 0, 1)))
     # monomials of another n never have the class's degree
     mons4 = list(enumerate_standard_monomials(DivisorClass(2, (1, 0, 0, 0))))
     assert not verify_basis_independence(CFG3, DivisorClass(2, (1, 0, 0)), mons4)

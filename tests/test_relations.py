@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -10,7 +11,7 @@ from coxline.coxmono import (
     enumerate_monomials,
     enumerate_standard_monomials,
 )
-from coxline.oracle import PointConfig, exact_rank
+from coxline.oracle import PointConfig, _rank_of_sparse_rows
 from coxline.picard import DivisorClass, is_nef
 from coxline.relations import (
     GradedPolynomial,
@@ -202,12 +203,11 @@ def test_quotient_dimension_matches_standard_count():
                 vectors = []
                 for m in enumerate_monomials(D):
                     nf = normal_form(GradedPolynomial.from_monomial(m), rels)
-                    vec = [Fraction(0)] * len(standard)
-                    for mono, c in nf.terms.items():
-                        vec[index[mono]] = c
-                    vectors.append(vec)
+                    # the rational row, scaled to integers for the oracle's rank
+                    den = lcm(*(c.denominator for c in nf.terms.values()))
+                    vectors.append({index[mono]: int(c * den) for mono, c in nf.terms.items()})
                 if standard:
-                    assert exact_rank(vectors) == len(standard)
+                    assert _rank_of_sparse_rows(vectors) == len(standard)
 
 
 def test_graded_polynomial_rejects_mixed_degrees():

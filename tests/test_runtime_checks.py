@@ -1,7 +1,9 @@
-"""The library's internal consistency checks raise even under `python -O`.
+"""The library's internal consistency checks hold even under `python -O`.
 
 Each case plants a fault in a fresh interpreter started with -O, which strips
-every `assert`, and requires the check to raise ArithmeticError.
+every `assert`, and requires a check to catch it: either the library raises
+ArithmeticError, or the sweep reports the check that failed, which the case
+turns into an ArithmeticError with `sweep_reports`.
 """
 
 import os
@@ -16,17 +18,24 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(coxline.__file__)))
 
 PRELUDE = """
 from coxline import coxmono, relations
+from coxline.cli import run_sweep
 from coxline.oracle import PointConfig
 from coxline.picard import DivisorClass
 assert False, "asserts must be stripped in this interpreter"
+
+def sweep_reports(check, cfg, d_max):
+    failed = {f["check"] for f in run_sweep(cfg, d_max).failures}
+    if check in failed:
+        raise ArithmeticError(f"run_sweep reported {check!r}")
 """
 
 FAULTS = {
-    # every enumerated monomial gets one extra e1: its degree is off
+    # every enumerated monomial gets one extra e1: its degree is off, which
+    # the basis check, the one degree check of enumerated monomials, catches
     "enumeration degree": """
 real = coxmono.CoxMonomial
 coxmono.CoxMonomial = lambda lam, s, e: real(lam, s, (e[0] + 1,) + e[1:])
-coxmono.enumerate_standard_monomials(DivisorClass(2, (1, 0, 0)))
+sweep_reports("basis independence", PointConfig.default(3), 2)
 """,
     # s3*e3 traded for s1*e1: same degree, but inside the initial ideal
     "enumeration initial ideal": """
