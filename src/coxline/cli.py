@@ -322,15 +322,22 @@ def _dispatch(args) -> int:
     raise UsageError(f"unknown command {args.command!r}")
 
 
+def _n_list(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise UsageError(f"--n-list takes comma-separated integers, got {text!r}") from None
+
+
 def _cmd_verify(args) -> int:
     if args.config:
         cfgs = [oracle.load_config(args.config)]
         if args.n_list:
-            wanted = [int(tok) for tok in args.n_list.split(",")]
+            wanted = _n_list(args.n_list)
             if wanted != [cfgs[0].n]:
                 raise UsageError("--n-list must match the n of the loaded config")
     else:
-        n_list = [int(tok) for tok in args.n_list.split(",")] if args.n_list else [args.n]
+        n_list = _n_list(args.n_list) if args.n_list else [args.n]
         cfgs = [PointConfig.default(n) for n in n_list]
     if args.dmax < 0:
         raise UsageError("--dmax must be >= 0")

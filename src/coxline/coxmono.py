@@ -29,7 +29,7 @@ class CoxMonomial:
     epsilon: tuple[int, ...]
 
     def __init__(self, lam: int, sigma, epsilon):
-        # converted and checked in locals, so each field is set once
+        # converted and checked in locals, so the fields are set in one step
         lam = int(lam)
         sigma = tuple(map(int, sigma))
         epsilon = tuple(map(int, epsilon))
@@ -39,9 +39,7 @@ class CoxMonomial:
             raise ValueError("need n >= 2")
         if lam < 0 or min(sigma) < 0 or min(epsilon) < 0:
             raise ValueError("exponents must be non-negative")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "epsilon", epsilon)
+        self.__dict__.update(lam=lam, sigma=sigma, epsilon=epsilon)
 
     @property
     def n(self) -> int:
@@ -145,7 +143,11 @@ def generators(n: int) -> list[tuple[str, CoxMonomial]]:
 
 def in_initial_ideal(m: CoxMonomial) -> bool:
     """True iff some s[i]e[i] with i <= n-2 divides m."""
-    return any(m.sigma[i] > 0 and m.epsilon[i] > 0 for i in range(m.n - 2))
+    sigma, epsilon = m.sigma, m.epsilon
+    for i in range(len(sigma) - 2):
+        if sigma[i] > 0 and epsilon[i] > 0:
+            return True
+    return False
 
 
 def enumerate_standard_monomials(D: DivisorClass) -> tuple[CoxMonomial, ...]:

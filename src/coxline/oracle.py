@@ -161,14 +161,24 @@ def load_config(path) -> PointConfig:
         raise ValueError(f"{path}: missing required key 't'")
 
     def rationals(key):
-        try:
-            return [Fraction(tok) for tok in keys[key].replace(",", " ").split()]
-        except ZeroDivisionError:
-            raise ValueError(f"{path}: {key} has a value with denominator 0") from None
+        values = []
+        for tok in keys[key].replace(",", " ").split():
+            try:
+                values.append(Fraction(tok))
+            except ZeroDivisionError:
+                raise ValueError(f"{path}: {key} has a value with denominator 0") from None
+            except ValueError:
+                raise ValueError(f"{path}: {key} has {tok!r}, which is not a rational number") from None
+        return values
 
     t = rationals("t")
-    if "n" in keys and int(keys["n"]) != len(t):
-        raise ValueError(f"{path}: n = {keys['n']} does not match {len(t)} values in t")
+    if "n" in keys:
+        try:
+            n = int(keys["n"])
+        except ValueError:
+            raise ValueError(f"{path}: n = {keys['n']!r} is not an integer") from None
+        if n != len(t):
+            raise ValueError(f"{path}: n = {keys['n']} does not match {len(t)} values in t")
     q = (0, 1, 0)
     if "q" in keys:
         q = tuple(rationals("q"))
@@ -414,23 +424,77 @@ def _vanishes_at(cfg: PointConfig, j: int, mult: int, lam: int, sigma: tuple[int
 
 
 @lru_cache(maxsize=None)
-def _independent_family(cfg: PointConfig, d: int, head: tuple[int, ...]) -> frozenset:
-    """The (lam, sigma) of the standard monomials of (d; head, 0, 0) when
-    their realized vectors are linearly independent, else the empty set.
+def _binary_form(cfg: PointConfig, sigma: tuple[int, ...]) -> dict:
+    """Product of the integer lines int_lines[i]^sigma[i] at y = 0, as a map
+    from x-exponent to nonzero int: a binary form of degree sum(sigma)."""
+    for i in range(len(sigma) - 1, -1, -1):
+        if sigma[i]:
+            smaller = sigma[:i] + (sigma[i] - 1,) + sigma[i + 1 :]
+            cx, _, cz = cfg.int_lines[i]
+            out = {}
+            for ex, v in _binary_form(cfg, smaller).items():
+                if cx:
+                    out[ex + 1] = out.get(ex + 1, 0) + cx * v
+                if cz:
+                    out[ex] = out.get(ex, 0) + cz * v
+            return {ex: v for ex, v in out.items() if v}
+    return {0: 1}
 
-    The rule is the vanishing-order one, not coxmono's enumeration: sigma[i]
-    = max(head[i] - lam, 0), and the last two sigma split the rest freely.
-    Every class (d; head, a, b) has its (lam, sigma) among these, and a
-    subset of independent vectors is independent, so one exact rank here
-    serves the whole family.
+
+@lru_cache(maxsize=None)
+def _in_level_block(cfg: PointConfig, lam: int, sigma: tuple[int, ...]) -> bool:
+    """The support check of the level-block certificate: the realized
+    vector of (lam, sigma) has y-exponent >= lam on its support, and its
+    diagonal row (its columns of y-exponent exactly lam) is the binary form
+    of sigma."""
+    cols = monomials_of_degree(lam + sum(sigma))
+    row = {}
+    for j, c in _realized_vector(cfg, lam, sigma).items():
+        ex, ey, _ = cols[j]
+        if ey < lam:
+            return False
+        if ey == lam:
+            row[ex] = c
+    return row == _binary_form(cfg, sigma)
+
+
+@lru_cache(maxsize=None)
+def _full_level_block(cfg: PointConfig, forced: tuple[int, ...], r: int) -> bool:
+    """Whether the binary forms of forced + (s, r - s), s = 0..r, have full
+    rank.  They are the binary forms of every level whose first n - 2
+    exponents are forced and whose last two sum to r, whatever d and lam,
+    so one block serves many classes.  For a valid config they always do:
+    no line through q vanishes on y = 0, since q is off it, and the lines
+    through q and p[n-1], p[n] stay independent there."""
+    rows = [_binary_form(cfg, forced + (s, r - s)) for s in range(r + 1)]
+    return _rank_of_sparse_rows(rows) == len(rows)
+
+
+def _certified_by_level_blocks(cfg: PointConfig, D: DivisorClass, keys) -> bool:
+    """Whether the realized vectors of keys are certified independent by
+    their level blocks.
+
+    A vector of level lam is y^lam times a product of lines, so sorted by
+    lam the vectors form a block-triangular matrix whose diagonal block at
+    lam holds their diagonal rows.  If every key is distinct, has the
+    forced exponents sigma[i] = max(a[i] - lam, 0) for i <= n-2, passes the
+    support check, and lies in a block of full rank, every diagonal block of
+    the class has full rank, and so has the whole matrix.
     """
-    keys = []
-    for lam in range(d + 1):
-        forced = tuple(max(ai - lam, 0) for ai in head)
-        rest = d - lam - sum(forced)
-        keys.extend((lam, forced + (s, rest - s)) for s in range(rest + 1))
-    vectors = [_realized_vector(cfg, lam, sigma) for lam, sigma in keys]
-    return frozenset(keys) if _rank_of_sparse_rows(vectors) == len(vectors) else frozenset()
+    if len(set(keys)) != len(keys):
+        return False
+    d, head, in_block = D.d, D.a[:-2], _in_level_block
+    level = None
+    for lam, sigma in keys:
+        if lam != level:
+            level = lam
+            forced = tuple(max(ai - lam, 0) for ai in head)
+            r = d - lam - sum(forced)
+            if not _full_level_block(cfg, forced, r):
+                return False
+        if sigma[:-2] != forced or sigma[-2] + sigma[-1] != r or not in_block(cfg, lam, sigma):
+            return False
+    return True
 
 
 def realize_monomial(cfg: PointConfig, m: coxmono.CoxMonomial) -> HomogeneousForm:
@@ -465,26 +529,29 @@ def verify_basis_independence(cfg: PointConfig, D: DivisorClass, mons) -> bool:
 
     Each fact is computed once per config and shared across classes: the
     vector of each (lam, sigma), its vanishing at each point and
-    multiplicity, and the rank of each family (d; a[1..n-2], *, *).  The
-    forms are independent when their (lam, sigma) are distinct members of a
-    family of full rank; otherwise their own rank is taken.
+    multiplicity, and the rank of each level block (see
+    _certified_by_level_blocks), a binary-form rank of at most d - lam + 1
+    columns.  When the blocks do not certify the forms, their own exact
+    rank is taken.
     """
     if not picard.is_effective(D):
         raise ValueError(f"basis verification needs an effective class, got {D}")
     if cfg.n != D.n:
         raise ValueError(f"config has {cfg.n} points but class has n = {D.n}")
     mults = [(j, aj) for j, aj in enumerate(D.a) if aj > 0]
+    has_degree, vanishes = coxmono.has_degree, _vanishes_at
     keys = []
     for m in mons:
-        if not coxmono.has_degree(m, D):
+        if not has_degree(m, D):
             return False
         lam, sigma = m.lam, m.sigma
-        if not all(_vanishes_at(cfg, j, aj, lam, sigma) for j, aj in mults):
-            return False
+        for j, aj in mults:
+            if not vanishes(cfg, j, aj, lam, sigma):
+                return False
         keys.append((lam, sigma))
     if len(keys) != h0_rank(cfg, D):
         return False
-    if len(set(keys)) == len(keys) and _independent_family(cfg, D.d, D.a[:-2]).issuperset(keys):
+    if _certified_by_level_blocks(cfg, D, keys):
         return True
     vectors = [_realized_vector(cfg, lam, sigma) for lam, sigma in keys]
     return _rank_of_sparse_rows(vectors) == len(vectors)

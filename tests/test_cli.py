@@ -216,6 +216,22 @@ def test_zero_denominator_in_config_is_a_config_error(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_bad_literal_names_where_it_is(tmp_path):
+    # a typo in a config file or in --n-list says where it is, with exit 2
+    cases = []
+    for key, text in (("t", "t = 0, x, 7\n"), ("q", "t = 0, 1/2, 7\nq = 1, y, 1\n"), ("n", "n = three\nt = 0 1 2\n")):
+        cfgfile = tmp_path / f"bad-{key}.cfg"
+        cfgfile.write_text(text)
+        cases.append((["--config", str(cfgfile), "relations"], [str(cfgfile), f"{key} "]))
+    cases.append((["verify", "--n-list", "3,x"], ["--n-list", "'3,x'"]))
+    for argv, named in cases:
+        proc = subprocess.run([sys.executable, "-m", "coxline", *argv], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert all(text in proc.stderr for text in named), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_missing_config_file(capsys):
     code, _, err = run_cli(capsys, "--config", "/nonexistent/x.cfg", "relations")
     assert code == 2

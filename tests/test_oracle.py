@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coxline import oracle, picard
 from coxline.coxmono import CoxMonomial, enumerate_standard_monomials
@@ -352,10 +354,15 @@ def test_class_of_another_n_is_a_value_error():
     assert not verify_basis_independence(CFG3, DivisorClass(2, (1, 0, 0)), mons4)
 
 
+def direct_rank_verdict(cfg, mons):
+    vectors = [oracle._realized_vector(cfg, m.lam, m.sigma) for m in mons]
+    return oracle._rank_of_sparse_rows(vectors) == len(vectors)
+
+
 def test_family_certificate_agrees_with_the_direct_rank():
-    # every effective class with a_i in -1..d, nef or not: the verdict of the
-    # shared family rank equals the exact rank of the class's own vectors,
-    # and no class in this range needs the fallback to its own rank
+    # every effective class with a_i in -1..d, nef or not: the level-block
+    # verdict equals the exact rank of the class's own vectors, and no class
+    # in this range needs the fallback to its own rank
     classes = certified = 0
     for cfg in integer_path_configs():
         for d in range(0, 7):
@@ -365,9 +372,59 @@ def test_family_certificate_agrees_with_the_direct_rank():
                     continue
                 classes += 1
                 mons = list(enumerate_standard_monomials(D))
-                vectors = [oracle._realized_vector(cfg, m.lam, m.sigma) for m in mons]
-                direct = oracle._rank_of_sparse_rows(vectors) == len(vectors)
-                assert verify_basis_independence(cfg, D, mons) == direct
-                family = oracle._independent_family(cfg, d, D.a[:-2])
-                certified += family.issuperset((m.lam, m.sigma) for m in mons)
+                assert verify_basis_independence(cfg, D, mons) == direct_rank_verdict(cfg, mons)
+                keys = [(m.lam, m.sigma) for m in mons]
+                certified += oracle._certified_by_level_blocks(cfg, D, keys)
     assert certified == classes > 0
+
+
+def test_a_deficient_level_block_falls_back_to_the_direct_rank(monkeypatch):
+    # a planted deficient block: the certificate fails, so the verdict must
+    # come from the class's own rank, which is full
+    real_block = oracle._full_level_block
+    monkeypatch.setattr(oracle, "_full_level_block", lambda cfg, forced, r: r != 1 and real_block(cfg, forced, r))
+    for cfg, D in ((CFG3, DivisorClass(4, (2, 1, 1))), (CFG4_POOL_A, DivisorClass(4, (1, 1, 1, 0)))):
+        mons = list(enumerate_standard_monomials(D))
+        keys = [(m.lam, m.sigma) for m in mons]
+        assert not oracle._certified_by_level_blocks(cfg, D, keys)
+        assert direct_rank_verdict(cfg, mons)
+        assert verify_basis_independence(cfg, D, mons)
+        assert not verify_basis_independence(cfg, D, mons[:-1] + mons[:1])
+
+
+def test_the_support_check_rejects_a_vector_off_its_level(monkeypatch):
+    # a vector with a column below y^lam, or whose y^lam part is not the
+    # binary form of sigma, is not a member of a level block
+    lam, sigma = 1, (1, 0, 1)
+    check = oracle._in_level_block.__wrapped__
+    vec = oracle._realized_vector(CFG3, lam, sigma)
+    assert check(CFG3, lam, sigma)
+    index = oracle._column_index(3)
+    for col in (index[2, 0, 1], index[2, 1, 0]):  # y-exponent 0, then lam
+        monkeypatch.setattr(oracle, "_realized_vector", lambda cfg, l, s, col=col: {**vec, col: vec.get(col, 0) + 1})
+        assert not check(CFG3, lam, sigma)
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@st.composite
+def collinear_classes(draw):
+    n = draw(st.integers(2, 4))
+    t = draw(st.lists(rationals, min_size=n, max_size=n, unique=True))
+    q = (draw(rationals), draw(rationals.filter(lambda y: y != 0)), draw(rationals))
+    d = draw(st.integers(0, 6))
+    a = tuple(draw(st.lists(st.integers(-1, d), min_size=n, max_size=n)))
+    return PointConfig.collinear(t, q), DivisorClass(d, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(collinear_classes())
+def test_level_blocks_certify_random_collinear_configs(case):
+    # random distinct rational t and q off y = 0: the certificate holds and
+    # the verdict equals the class's own rank
+    cfg, D = case
+    assume(picard.is_effective(D))
+    mons = list(enumerate_standard_monomials(D))
+    assert oracle._certified_by_level_blocks(cfg, D, [(m.lam, m.sigma) for m in mons])
+    assert verify_basis_independence(cfg, D, mons) == direct_rank_verdict(cfg, mons)
