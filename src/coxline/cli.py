@@ -81,7 +81,8 @@ def run_sweep(cfg: PointConfig, d_max: int, rels=None, max_classes=None) -> Swee
     Per class: the standard-monomial count, the per-level closed form, chi,
     h0 via stripping, and the interpolation rank must all agree, and the
     enumerated standard monomials must pass the basis verification, which
-    is also the one check of their degrees.  A negative per-level count
+    is also the one check of their degrees; a basis failure names its
+    sub-check (degree, vanishing, count or rank).  A negative per-level count
     raised by the closed form is reported with its message.  Per relation
     pair, the S-polynomial must reduce to zero.  A relation list may be injected to
     exercise the failure paths; by default it is derived from cfg.  When
@@ -122,8 +123,10 @@ def run_sweep(cfg: PointConfig, d_max: int, rels=None, max_classes=None) -> Swee
         h0_oracle = oracle.h0_rank(cfg, D)
         if h0_oracle != expected:
             report.add_failure(D, "oracle interpolation rank", expected, h0_oracle)
+        # the verdict is what a sweep times; its sub-check is looked up only
+        # for a failure
         if not oracle.verify_basis_independence(cfg, D, mons):
-            report.add_failure(D, "basis independence", True, False)
+            report.add_failure(D, "basis independence", True, oracle.basis_failure(cfg, D, mons))
     return report.finalize()
 
 

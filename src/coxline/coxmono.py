@@ -29,17 +29,20 @@ class CoxMonomial:
     epsilon: tuple[int, ...]
 
     def __init__(self, lam: int, sigma, epsilon):
-        # converted and checked in locals, so the fields are set in one step
+        # converted and checked in locals, then stored straight into the
+        # instance dict, past the frozen __setattr__
         lam = int(lam)
         sigma = tuple(map(int, sigma))
         epsilon = tuple(map(int, epsilon))
-        if len(sigma) != len(epsilon):
-            raise ValueError("sigma and epsilon must have the same length")
-        if len(sigma) < 2:
-            raise ValueError("need n >= 2")
+        n = len(sigma)
+        if n != len(epsilon) or n < 2:
+            raise ValueError("need n >= 2" if n == len(epsilon) else "sigma and epsilon must have the same length")
         if lam < 0 or min(sigma) < 0 or min(epsilon) < 0:
             raise ValueError("exponents must be non-negative")
-        self.__dict__.update(lam=lam, sigma=sigma, epsilon=epsilon)
+        fields = self.__dict__
+        fields["lam"] = lam
+        fields["sigma"] = sigma
+        fields["epsilon"] = epsilon
 
     @property
     def n(self) -> int:
@@ -163,23 +166,23 @@ def enumerate_standard_monomials(D: DivisorClass) -> tuple[CoxMonomial, ...]:
     sweep and the basis command pass the enumerated monomials.
     """
     n, d, a = D.n, D.d, D.a
+    head, a_pen, a_last = a[: n - 2], a[n - 2], a[n - 1]
+    make, in_ideal = CoxMonomial, in_initial_ideal
     found = []
     for lam in range(0, d + 1):
-        sig_forced = tuple(max(a[i] - lam, 0) for i in range(n - 2))
-        eps_forced = tuple(max(lam - a[i], 0) for i in range(n - 2))
+        sig_forced = tuple([ai - lam if ai > lam else 0 for ai in head])
+        eps_forced = tuple([lam - ai if lam > ai else 0 for ai in head])
         rest = d - lam - sum(sig_forced)
         if rest < 0:
             continue
-        lo = max(a[n - 2] - lam, 0)
-        hi = rest - max(a[n - 1] - lam, 0)
+        # epsilon[i] = sigma[i] - a[i] + lam for the two free indices
+        off_pen, off_last = lam - a_pen, lam - a_last
+        lo = max(-off_pen, 0)
+        hi = rest - max(-off_last, 0)
         for s_pen in range(lo, hi + 1):
             s_last = rest - s_pen
-            m = CoxMonomial(
-                lam,
-                sig_forced + (s_pen, s_last),
-                eps_forced + (s_pen - a[n - 2] + lam, s_last - a[n - 1] + lam),
-            )
-            if in_initial_ideal(m):
+            m = make(lam, sig_forced + (s_pen, s_last), eps_forced + (s_pen + off_pen, s_last + off_last))
+            if in_ideal(m):
                 raise ArithmeticError(f"enumerated {m} lies in the initial ideal")
             found.append(m)
     return tuple(found)
@@ -191,7 +194,11 @@ def count_at_level(D: DivisorClass, lam: int) -> int:
     Equals d + 1 - lam - sum(max(a[k] - lam, 0)); non-negative whenever D
     is nef, which the closed-form counter checks at runtime.
     """
-    return D.d + 1 - lam - sum(max(ak - lam, 0) for ak in D.a)
+    count = D.d + 1 - lam
+    for ak in D.a:
+        if ak > lam:
+            count -= ak - lam
+    return count
 
 
 def count_standard_monomials_closed_form(D: DivisorClass) -> int:

@@ -105,6 +105,10 @@ class PointConfig:
                 raise ValueError(f"q coincides with p{i}")
         for i in range(self.n):
             for j in range(i + 1, self.n):
+                # primitive coordinates with a positive leading entry are
+                # unique to their projective point
+                if points[i] == points[j]:
+                    raise ValueError(f"p{i + 1} and p{j + 1} coincide")
                 if _det3(q, points[i], points[j]) == 0:
                     raise ValueError(
                         f"p{i + 1}, p{j + 1} and q are collinear; "
@@ -335,29 +339,37 @@ def _point_rows(point, d: int, mult: int) -> tuple[dict, ...]:
 
     One row per partial derivative of order mult - 1; for homogeneous forms
     these imply all lower-order vanishing, giving C(mult+1, 2) rows in total.
+    The entry of the derivative (u, v, w) at the column (ex, ey, ez) is
+    perm(ex, u) * perm(ey, v) * perm(ez, w) * px^(ex-u) * py^(ey-v) * pz^(ez-w).
+    Where a coordinate of the point is zero, that factor is 0^k with k > 0
+    unless its exponent equals the derivative order, so only those columns
+    are built: at most d + 1 entries per row at a point with a zero
+    coordinate, such as every point on y = 0, where a scan of all
+    C(d+2, 2) columns would find no other nonzero entry.
     """
     px, py, pz = point
-    cols = monomials_of_degree(d)
-    rows = []
+    index = _column_index(d)
     order = mult - 1
+    r = d - order
+    # the shifts (ex-u, ey-v, ez-w) of the nonzero entries, the same in every
+    # row: they sum to r and are 0 where the point's coordinate is 0
+    shifts = []
+    if r >= 0:
+        for i in range(r, -1, -1) if px else (0,):
+            for j in range(r - i, -1, -1) if py else (0,):
+                k = r - i - j
+                if pz or k == 0:
+                    shifts.append((i, j, k, px**i * py**j * pz**k))
+    rows = []
     for u in range(order, -1, -1):
         for v in range(order - u, -1, -1):
             w = order - u - v
-            row = {}
-            for j, (ex, ey, ez) in enumerate(cols):
-                if ex < u or ey < v or ez < w:
-                    continue
-                val = (
-                    perm(ex, u)
-                    * perm(ey, v)
-                    * perm(ez, w)
-                    * px ** (ex - u)
-                    * py ** (ey - v)
-                    * pz ** (ez - w)
-                )
-                if val:
-                    row[j] = val
-            rows.append(row)
+            rows.append(
+                {
+                    index[u + i, v + j, w + k]: perm(u + i, u) * perm(v + j, v) * perm(w + k, w) * power
+                    for i, j, k, power in shifts
+                }
+            )
     return tuple(rows)
 
 
@@ -412,15 +424,38 @@ def _realized_vector(cfg: PointConfig, lam: int, sigma: tuple[int, ...]) -> dict
     return {index[ex, ey + lam, ez]: c for (ex, ey, ez), c in _line_product(cfg, sigma).items()}
 
 
-@lru_cache(maxsize=None)
 def _vanishes_at(cfg: PointConfig, j: int, mult: int, lam: int, sigma: tuple[int, ...]) -> bool:
     """Exact dot check of the realized vector of (lam, sigma) against the
-    rows of order-mult vanishing at int_points[j].  The rows of a class are
-    the union of these per-point rows, so the check is shared by every
-    class with the same multiplicity at p[j]."""
+    rows of order-mult vanishing at int_points[j].  It decides what the
+    vanishing record of sigma does not certify."""
     vec = _realized_vector(cfg, lam, sigma)
     rows = _point_rows(cfg.int_points[j], lam + sum(sigma), mult)
     return all(_sparse_dot(row, vec) == 0 for row in rows)
+
+
+@lru_cache(maxsize=None)
+def _vanishing_record(cfg: PointConfig, sigma: tuple[int, ...]) -> list[int]:
+    """Per point p[j], the order to which the line product of sigma has been
+    verified to vanish there.  The cache hands out the same list to every
+    caller on purpose: it is the record, raised in place by _raise_record."""
+    return [0] * cfg.n
+
+
+def _raise_record(cfg: PointConfig, sigma: tuple[int, ...], j: int, order: int) -> bool:
+    """Raise the vanishing record of sigma at p[j] to order when the exact
+    dot check of the line product against the rows of order-`order`
+    vanishing there holds.  Those rows imply every lower order only up to
+    the degree sum(sigma), past which a nonzero form cannot vanish, so a
+    larger order is never recorded."""
+    s = sum(sigma)
+    if order > s:
+        return False
+    vec = _realized_vector(cfg, 0, sigma)
+    for row in _point_rows(cfg.int_points[j], s, order):
+        if _sparse_dot(row, vec):
+            return False
+    _vanishing_record(cfg, sigma)[j] = order
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -488,7 +523,7 @@ def _certified_by_level_blocks(cfg: PointConfig, D: DivisorClass, keys) -> bool:
     for lam, sigma in keys:
         if lam != level:
             level = lam
-            forced = tuple(max(ai - lam, 0) for ai in head)
+            forced = tuple([ai - lam if ai > lam else 0 for ai in head])
             r = d - lam - sum(forced)
             if not _full_level_block(cfg, forced, r):
                 return False
@@ -518,43 +553,65 @@ def realize_monomial(cfg: PointConfig, m: coxmono.CoxMonomial) -> HomogeneousFor
 
 def verify_basis_independence(cfg: PointConfig, D: DivisorClass, mons) -> bool:
     """Check that mons, the standard monomials of degree D as enumerated by
-    the caller, realize a section basis.
+    the caller, realize a section basis: basis_failure finds no failed
+    sub-check."""
+    return basis_failure(cfg, D, mons) is None
 
-    True iff every monomial has degree D, every realized form satisfies the
-    vanishing constraints, the forms are linearly independent, and their
-    number equals the interpolation dimension h0_rank(cfg, D).  Enumeration
-    does not check degrees, so this is the one degree check of enumerated
-    monomials.  The forms are the integer products of the lines, times y^lam
-    as an exponent shift.
+
+def basis_failure(cfg: PointConfig, D: DivisorClass, mons) -> str | None:
+    """The first sub-check in which mons fail to realize a section basis of
+    D, or None when they pass them all: "degree", "vanishing at p<j>",
+    "count <k> != h0_rank <h>" or "rank".
+
+    Every monomial must have degree D, every realized form must satisfy the
+    vanishing constraints, their number must equal the interpolation
+    dimension h0_rank(cfg, D), and the forms must be linearly independent.
+    Enumeration does not check degrees, so this is the one degree check of
+    enumerated monomials.  The forms are the integer products of the lines,
+    times y^lam as an exponent shift.
 
     Each fact is computed once per config and shared across classes: the
-    vector of each (lam, sigma), its vanishing at each point and
-    multiplicity, and the rank of each level block (see
-    _certified_by_level_blocks), a binary-form rank of at most d - lam + 1
-    columns.  When the blocks do not certify the forms, their own exact
-    rank is taken.
+    vector of each (lam, sigma), the vanishing record of each line product
+    sigma, and the rank of each level block (see _certified_by_level_blocks),
+    a binary-form rank of at most d - lam + 1 columns.  Vanishing: y
+    vanishes at every point of y = 0, so by the Leibniz rule y^lam * G
+    vanishes there to order lam + ord(G), and elsewhere to order ord(G).
+    A monomial therefore passes at p[j] when the record of its sigma reaches
+    a[j] - lam (on y = 0) or a[j] (off it); the record is raised on demand
+    by the exact dot check of the line product, and what it cannot certify
+    is decided by the exact dot check of the realized form itself.  When
+    the blocks do not certify the forms, their own exact rank is taken.
     """
     if not picard.is_effective(D):
         raise ValueError(f"basis verification needs an effective class, got {D}")
     if cfg.n != D.n:
         raise ValueError(f"config has {cfg.n} points but class has n = {D.n}")
-    mults = [(j, aj) for j, aj in enumerate(D.a) if aj > 0]
-    has_degree, vanishes = coxmono.has_degree, _vanishes_at
+    points = cfg.int_points
+    # (j, a[j], whether p[j] lies on y = 0), tested exactly on the integer point
+    mults = [(j, aj, points[j][1] == 0) for j, aj in enumerate(D.a) if aj > 0]
+    has_degree, record = coxmono.has_degree, _vanishing_record
     keys = []
     for m in mons:
         if not has_degree(m, D):
-            return False
+            return "degree"
         lam, sigma = m.lam, m.sigma
-        for j, aj in mults:
-            if not vanishes(cfg, j, aj, lam, sigma):
-                return False
+        orders = record(cfg, sigma)
+        for j, aj, on_base in mults:
+            need = aj - lam if on_base else aj
+            if (
+                need > orders[j]
+                and not _raise_record(cfg, sigma, j, need)
+                and not _vanishes_at(cfg, j, aj, lam, sigma)
+            ):
+                return f"vanishing at p{j + 1}"
         keys.append((lam, sigma))
-    if len(keys) != h0_rank(cfg, D):
-        return False
+    h = h0_rank(cfg, D)
+    if len(keys) != h:
+        return f"count {len(keys)} != h0_rank {h}"
     if _certified_by_level_blocks(cfg, D, keys):
-        return True
+        return None
     vectors = [_realized_vector(cfg, lam, sigma) for lam, sigma in keys]
-    return _rank_of_sparse_rows(vectors) == len(vectors)
+    return None if _rank_of_sparse_rows(vectors) == len(vectors) else "rank"
 
 
 def _sparse_dot(u: dict, v: dict):

@@ -194,10 +194,13 @@ def strip_base_components(D: DivisorClass) -> tuple[DivisorClass, FixedPart]:
     preserves the section space.  Generators are tried in the fixed order
     E[1], ..., E[n], then L - E[1] - ... - E[n], looping until nef; the
     effective monoid is free, so the removed multiset is order-independent
-    while the fixed order keeps the record deterministic.
+    while the fixed order keeps the record deterministic.  A nef class is
+    returned itself, with an empty FixedPart.
     """
     if not is_effective(D):
         raise ValueError(f"cannot strip a non-effective class: {D}")
+    if is_nef(D):
+        return D, FixedPart(0, (0,) * D.n)
     d = D.d
     a = list(D.a)
     n = D.n

@@ -4,7 +4,9 @@ import json
 import subprocess
 import sys
 
-from coxline import coxmono
+import pytest
+
+from coxline import cli, coxmono
 from coxline.cli import main, nef_classes, run_sweep
 from coxline.oracle import PointConfig
 from coxline.picard import DivisorClass
@@ -232,6 +234,19 @@ def test_bad_literal_names_where_it_is(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_coincident_points_are_not_called_collinear(tmp_path):
+    # 1/2 and 2/4 are the same point; the message says so, with exit 2
+    cfgfile = tmp_path / "coincident.cfg"
+    cfgfile.write_text("t = 0, 1/2, 2/4\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxline", "--config", str(cfgfile), "h0", "1 0 0 0"], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: p2 and p3 coincide\n"
+    with pytest.raises(ValueError, match="p1 and p2 coincide"):
+        PointConfig.explicit([(1, 0, 1), (2, 0, 2)], q=(0, 1, 0))
+
+
 def test_missing_config_file(capsys):
     code, _, err = run_cli(capsys, "--config", "/nonexistent/x.cfg", "relations")
     assert code == 2
@@ -274,3 +289,40 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["h0"] == 3
+
+
+def basis_failures(report):
+    """The sub-checks named by the report's basis failures."""
+    return [f["got"] for f in report.failures if f["check"] == "basis independence"]
+
+
+def test_basis_failure_names_the_degree(monkeypatch):
+    # one extra e1 on every enumerated monomial: its degree is off
+    real = cli.enumerate_standard_monomials
+
+    def extra_e1(D):
+        return tuple(coxmono.CoxMonomial(m.lam, m.sigma, (m.epsilon[0] + 1,) + m.epsilon[1:]) for m in real(D))
+
+    monkeypatch.setattr(cli, "enumerate_standard_monomials", extra_e1)
+    got = basis_failures(run_sweep(PointConfig.default(3), 2))
+    assert got and set(got) == {"degree"}
+
+
+def test_basis_failure_names_the_vanishing_point():
+    # p1 = (0 : 1 : 1) is off y = 0: the forms of the collinear layout miss
+    # it, or the count against the interpolation dimension is off
+    bent = PointConfig.explicit([(0, 1, 1), (1, 0, 1), (2, 0, 1)], q=(0, 1, 0))
+    got = basis_failures(run_sweep(bent, 3))
+    assert "vanishing at p1" in got
+    assert all(g == "vanishing at p1" or g.startswith("count ") for g in got)
+
+
+def test_basis_failure_names_the_rank(monkeypatch):
+    # the last monomial replaced by a repeat of the first: degree, vanishing
+    # and count pass, the rank does not
+    real = cli.enumerate_standard_monomials
+    monkeypatch.setattr(cli, "enumerate_standard_monomials", lambda D: real(D)[:-1] + real(D)[:1])
+    report = run_sweep(PointConfig.default(3), 3)
+    got = basis_failures(report)
+    assert got and set(got) == {"rank"}
+    assert len(got) == sum(len(real(D)) > 1 for D in nef_classes(3, 3))

@@ -3,7 +3,8 @@
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import lcm, perm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -428,3 +429,110 @@ def test_level_blocks_certify_random_collinear_configs(case):
     mons = list(enumerate_standard_monomials(D))
     assert oracle._certified_by_level_blocks(cfg, D, [(m.lam, m.sigma) for m in mons])
     assert verify_basis_independence(cfg, D, mons) == direct_rank_verdict(cfg, mons)
+
+
+def scanned_rows(point, d, mult):
+    """The rows of order-mult vanishing at point, from a scan of every
+    column of degree d: the build that _point_rows replaced."""
+    px, py, pz = point
+    order = mult - 1
+    rows = []
+    for u in range(order, -1, -1):
+        for v in range(order - u, -1, -1):
+            w = order - u - v
+            row = {}
+            for j, (ex, ey, ez) in enumerate(monomials_of_degree(d)):
+                if ex >= u and ey >= v and ez >= w:
+                    val = perm(ex, u) * perm(ey, v) * perm(ez, w) * px ** (ex - u) * py ** (ey - v) * pz ** (ez - w)
+                    if val:
+                        row[j] = val
+            rows.append(row)
+    return tuple(rows)
+
+
+def test_point_rows_equal_a_scan_of_every_column():
+    # points with no, one and two zero coordinates, the explicit (0, 1, 1)
+    # among them, as integers and as Fractions
+    points = [(0, 0, 1), (1, 0, 1), (-3, 0, 2), (0, 1, 1), (0, 1, 0), (1, 0, 0), (1, -2, 0), (2, 3, 5)]
+    points.append((Fraction(1, 2), Fraction(0), Fraction(1)))
+    for point in points:
+        for d in range(0, 9):
+            for mult in range(1, d + 2):
+                assert oracle._point_rows(point, d, mult) == scanned_rows(point, d, mult), (point, d, mult)
+
+
+def bent_config(n):
+    """p1 = (0 : 1 : 1) is off the base line y = 0, the others are on it."""
+    return PointConfig.explicit([(0, 1, 1)] + [(i, 0, 1) for i in range(1, n)], q=(0, 1, 0))
+
+
+def fresh_records(monkeypatch):
+    monkeypatch.setattr(oracle, "_vanishing_record", lru_cache(maxsize=None)(oracle._vanishing_record.__wrapped__))
+
+
+def test_vanishing_records_agree_with_the_direct_check(monkeypatch):
+    # with the direct check of the realized form stubbed to False, the
+    # vanishing verdict comes from the line-product records alone; it must
+    # name the first point at which the direct check fails, for every
+    # monomial of every effective class with a_i in -1..d, d <= 6, n = 2..4
+    direct = lru_cache(maxsize=None)(oracle._vanishes_at)
+    fresh_records(monkeypatch)
+    monkeypatch.setattr(oracle, "_vanishes_at", lambda cfg, j, mult, lam, sigma: False)
+    failures = 0
+    for cfg in (*integer_path_configs(), *(bent_config(n) for n in (2, 3, 4))):
+        for d in range(0, 7):
+            for a in itertools.product(range(-1, d + 1), repeat=cfg.n):
+                D = DivisorClass(d, a)
+                if not picard.is_effective(D):
+                    continue
+                for m in enumerate_standard_monomials(D):
+                    expected = next(
+                        (f"vanishing at p{j + 1}" for j, aj in enumerate(a) if aj > 0 and not direct(cfg, j, aj, m.lam, m.sigma)),
+                        None,
+                    )
+                    got = oracle.basis_failure(cfg, D, [m])
+                    assert (got if got and got.startswith("vanishing") else None) == expected, (cfg, D, m)
+                    failures += expected is not None
+    assert failures > 0
+
+
+def test_a_line_product_that_misses_its_point_is_rejected(monkeypatch):
+    # s1 moved onto the last line inside every product: the forms no longer
+    # vanish at p1, and neither the record nor the direct check passes them
+    real = oracle._line_product
+    monkeypatch.setattr(oracle, "_line_product", lambda cfg, sigma: real(cfg, (0,) + sigma[1:-1] + (sigma[-1] + sigma[0],)))
+    monkeypatch.setattr(oracle, "_realized_vector", lru_cache(maxsize=None)(oracle._realized_vector.__wrapped__))
+    fresh_records(monkeypatch)
+    for cfg, D in ((CFG3, DivisorClass(2, (1, 1, 0))), (CFG4_POOL_A, DivisorClass(4, (2, 1, 1, 0)))):
+        assert not oracle._raise_record(cfg, (1,) + (0,) * (cfg.n - 1), 0, 1)
+        assert oracle._vanishing_record(cfg, (1,) + (0,) * (cfg.n - 1))[0] == 0
+        assert oracle.basis_failure(cfg, D, enumerate_standard_monomials(D)) == "vanishing at p1"
+        assert not verify_enumerated(cfg, D)
+
+
+@st.composite
+def random_effective_classes(draw):
+    """A random collinear config (distinct rational t, q off y = 0) and an
+    effective class, a third of them on the boundary d + 1 = sum(a)."""
+    n = draw(st.integers(2, 4))
+    t = draw(st.lists(rationals, min_size=n, max_size=n, unique=True))
+    q = (draw(rationals), draw(rationals.filter(lambda y: y != 0)), draw(rationals))
+    d = draw(st.integers(0, 7))
+    if draw(st.integers(0, 2)) == 0 and n * d >= d + 1:
+        a = [0] * n
+        for _ in range(d + 1):  # d + 1 units spread over points with room below d
+            a[draw(st.sampled_from([i for i in range(n) if a[i] < d]))] += 1
+        a = tuple(a)
+    else:
+        a = tuple(draw(st.lists(st.integers(-1, d), min_size=n, max_size=n)))
+    return PointConfig.collinear(t, q), DivisorClass(d, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_effective_classes())
+def test_h0_equals_the_interpolation_rank_on_random_configs(case):
+    # the rows of every point, built from its nonzero entries only, give
+    # the section dimension of the lattice side
+    cfg, D = case
+    assume(picard.is_effective(D))
+    assert picard.h0(D) == h0_rank(cfg, D)

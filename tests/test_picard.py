@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coxline import oracle
 from coxline.picard import (
@@ -197,6 +199,33 @@ def test_strip_preserves_sections_at_every_step():
                 current = current - DivisorClass(1, (1, 1, 1))
             assert oracle.h0_rank(cfg, current) == expected
         assert chi(current) == expected
+
+
+@st.composite
+def classes(draw):
+    """A class with n = 2..5 and entries up to 10^4, a third of them on the
+    boundary d + 1 = sum(a) of the vanishing region.  Stripping still takes
+    one loop turn per removed copy, so larger entries only cost time."""
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(0, 10**4))
+    if draw(st.integers(0, 2)) == 0:
+        cuts = sorted(draw(st.lists(st.integers(0, d + 1), min_size=n - 1, max_size=n - 1)))
+        a = tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, d + 1]))
+    else:
+        a = tuple(draw(st.lists(st.integers(-(10**4), 10**4), min_size=n, max_size=n)))
+    return DivisorClass(d, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(classes())
+def test_strip_is_idempotent_and_fixes_nef_classes(D):
+    assume(is_effective(D))
+    nef_part, removed = strip_base_components(D)
+    assert is_nef(nef_part) and nef_part + removed.divisor() == D
+    again, removed_again = strip_base_components(nef_part)
+    assert again == nef_part and removed_again.is_empty()
+    if is_nef(D):
+        assert nef_part == D and removed.is_empty() and removed.e == (0,) * D.n
 
 
 def test_h0_examples():

@@ -1,7 +1,7 @@
 """Time cold single-class queries and sweeps at growing d on two checkouts.
 
     python3 tools/bench_scaling.py --parent PARENT_DIR --change CHANGE_DIR \\
-        --out BENCH_scaling.json [--timeout 120]
+        --out BENCH_scaling.json [--timeout 600]
 
 Both directories are coxline checkouts.  Every case runs once per checkout
 in a fresh process (the parent first on even case numbers and the change
@@ -9,9 +9,9 @@ first on odd ones, so a drift of the host's speed falls on both sides
 alike):
 
 - cold `h0`, `basis` and `classify` of (d; d/2, d/4, d/4) and (d; 1, d-5,
-  d-5) at d = 10, 20, 30, 40, on the default n = 3 configuration and on
-  the README's rational one (t = 0, 1/2, 7, q = 1 : 2 : 1); at d = 30 and
-  40 these include `basis "30 1 25 25"` and `basis "40 20 10 10"`;
+  d-5) at d = 10, 20, 30, 40, 50, on the default n = 3 configuration and
+  on the README's rational one (t = 0, 1/2, 7, q = 1 : 2 : 1); at d = 30
+  and 40 these include `basis "30 1 25 25"` and `basis "40 20 10 10"`;
 - `verify` sweeps of that rational configuration at --dmax 12 and 16.
 
 The child process wraps a few of coxline's functions in timers and reports,
@@ -41,7 +41,7 @@ import tempfile
 import time
 
 README_CFG = "t = 0, 1/2, 7\nq = 1, 2, 1\n"
-DEGREES = (10, 20, 30, 40)
+DEGREES = (10, 20, 30, 40, 50)
 COMMANDS = ("h0", "basis", "classify")
 SHAPES = {
     "half-quarter": lambda d: (d, d // 2, d // 4, d // 4),
@@ -161,7 +161,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--timeout", type=float, default=120, help="seconds per case and side")
+    parser.add_argument("--timeout", type=float, default=600, help="seconds per case and side")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
