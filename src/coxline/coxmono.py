@@ -29,20 +29,17 @@ class CoxMonomial:
     epsilon: tuple[int, ...]
 
     def __init__(self, lam: int, sigma, epsilon):
-        # converted and checked in locals, then stored straight into the
-        # instance dict, past the frozen __setattr__
+        # converted and checked in locals, so the fields are set in one step
         lam = int(lam)
         sigma = tuple(map(int, sigma))
         epsilon = tuple(map(int, epsilon))
-        n = len(sigma)
-        if n != len(epsilon) or n < 2:
-            raise ValueError("need n >= 2" if n == len(epsilon) else "sigma and epsilon must have the same length")
+        if len(sigma) != len(epsilon):
+            raise ValueError("sigma and epsilon must have the same length")
+        if len(sigma) < 2:
+            raise ValueError("need n >= 2")
         if lam < 0 or min(sigma) < 0 or min(epsilon) < 0:
             raise ValueError("exponents must be non-negative")
-        fields = self.__dict__
-        fields["lam"] = lam
-        fields["sigma"] = sigma
-        fields["epsilon"] = epsilon
+        self.__dict__.update(lam=lam, sigma=sigma, epsilon=epsilon)
 
     @property
     def n(self) -> int:
@@ -167,7 +164,6 @@ def enumerate_standard_monomials(D: DivisorClass) -> tuple[CoxMonomial, ...]:
     """
     n, d, a = D.n, D.d, D.a
     head, a_pen, a_last = a[: n - 2], a[n - 2], a[n - 1]
-    make, in_ideal = CoxMonomial, in_initial_ideal
     found = []
     for lam in range(0, d + 1):
         sig_forced = tuple([ai - lam if ai > lam else 0 for ai in head])
@@ -181,8 +177,8 @@ def enumerate_standard_monomials(D: DivisorClass) -> tuple[CoxMonomial, ...]:
         hi = rest - max(-off_last, 0)
         for s_pen in range(lo, hi + 1):
             s_last = rest - s_pen
-            m = make(lam, sig_forced + (s_pen, s_last), eps_forced + (s_pen + off_pen, s_last + off_last))
-            if in_ideal(m):
+            m = CoxMonomial(lam, sig_forced + (s_pen, s_last), eps_forced + (s_pen + off_pen, s_last + off_last))
+            if in_initial_ideal(m):
                 raise ArithmeticError(f"enumerated {m} lies in the initial ideal")
             found.append(m)
     return tuple(found)

@@ -424,15 +424,6 @@ def _realized_vector(cfg: PointConfig, lam: int, sigma: tuple[int, ...]) -> dict
     return {index[ex, ey + lam, ez]: c for (ex, ey, ez), c in _line_product(cfg, sigma).items()}
 
 
-def _vanishes_at(cfg: PointConfig, j: int, mult: int, lam: int, sigma: tuple[int, ...]) -> bool:
-    """Exact dot check of the realized vector of (lam, sigma) against the
-    rows of order-mult vanishing at int_points[j].  It decides what the
-    vanishing record of sigma does not certify."""
-    vec = _realized_vector(cfg, lam, sigma)
-    rows = _point_rows(cfg.int_points[j], lam + sum(sigma), mult)
-    return all(_sparse_dot(row, vec) == 0 for row in rows)
-
-
 @lru_cache(maxsize=None)
 def _vanishing_record(cfg: PointConfig, sigma: tuple[int, ...]) -> list[int]:
     """Per point p[j], the order to which the line product of sigma has been
@@ -444,9 +435,9 @@ def _vanishing_record(cfg: PointConfig, sigma: tuple[int, ...]) -> list[int]:
 def _raise_record(cfg: PointConfig, sigma: tuple[int, ...], j: int, order: int) -> bool:
     """Raise the vanishing record of sigma at p[j] to order when the exact
     dot check of the line product against the rows of order-`order`
-    vanishing there holds.  Those rows imply every lower order only up to
-    the degree sum(sigma), past which a nonzero form cannot vanish, so a
-    larger order is never recorded."""
+    vanishing there holds, and say whether it does.  Those rows imply every
+    lower order only up to the degree sum(sigma); a nonzero form of that
+    degree vanishes to no higher order, so a larger order fails."""
     s = sum(sigma)
     if order > s:
         return False
@@ -578,9 +569,10 @@ def basis_failure(cfg: PointConfig, D: DivisorClass, mons) -> str | None:
     vanishes there to order lam + ord(G), and elsewhere to order ord(G).
     A monomial therefore passes at p[j] when the record of its sigma reaches
     a[j] - lam (on y = 0) or a[j] (off it); the record is raised on demand
-    by the exact dot check of the line product, and what it cannot certify
-    is decided by the exact dot check of the realized form itself.  When
-    the blocks do not certify the forms, their own exact rank is taken.
+    by the exact dot check of the line product.  The order of y^lam * G is
+    exactly that sum, and a[j] <= d on an effective class, so a record that
+    cannot be raised is a form that does not vanish to a[j].  When the
+    blocks do not certify the forms, their own exact rank is taken.
     """
     if not picard.is_effective(D):
         raise ValueError(f"basis verification needs an effective class, got {D}")
@@ -598,11 +590,7 @@ def basis_failure(cfg: PointConfig, D: DivisorClass, mons) -> str | None:
         orders = record(cfg, sigma)
         for j, aj, on_base in mults:
             need = aj - lam if on_base else aj
-            if (
-                need > orders[j]
-                and not _raise_record(cfg, sigma, j, need)
-                and not _vanishes_at(cfg, j, aj, lam, sigma)
-            ):
+            if need > orders[j] and not _raise_record(cfg, sigma, j, need):
                 return f"vanishing at p{j + 1}"
         keys.append((lam, sigma))
     h = h0_rank(cfg, D)

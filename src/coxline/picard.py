@@ -199,14 +199,12 @@ def strip_base_components(D: DivisorClass) -> tuple[DivisorClass, FixedPart]:
     """
     if not is_effective(D):
         raise ValueError(f"cannot strip a non-effective class: {D}")
-    if is_nef(D):
-        return D, FixedPart(0, (0,) * D.n)
-    d = D.d
-    a = list(D.a)
     n = D.n
     e_removed = [0] * n
     l_removed = 0
-    while not (all(ai >= 0 for ai in a) and d >= sum(a)):
+    while not is_nef(D):
+        d = D.d
+        a = list(D.a)
         for i in range(n):
             while a[i] < 0:  # D.E_i = a[i] < 0
                 a[i] += 1
@@ -215,7 +213,8 @@ def strip_base_components(D: DivisorClass) -> tuple[DivisorClass, FixedPart]:
             d -= 1
             a = [ai - 1 for ai in a]
             l_removed += 1
-    return DivisorClass(d, tuple(a)), FixedPart(l_removed, tuple(e_removed))
+        D = DivisorClass(d, tuple(a))
+    return D, FixedPart(l_removed, tuple(e_removed))
 
 
 def h0(D: DivisorClass) -> int:

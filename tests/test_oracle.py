@@ -470,14 +470,22 @@ def fresh_records(monkeypatch):
     monkeypatch.setattr(oracle, "_vanishing_record", lru_cache(maxsize=None)(oracle._vanishing_record.__wrapped__))
 
 
+@lru_cache(maxsize=None)
+def direct_vanishing(cfg, j, mult, lam, sigma):
+    """Exact dot check of the realized form of (lam, sigma) against the
+    scanned rows of order-mult vanishing at p[j]: the per-form check that
+    the vanishing records replaced."""
+    vec = oracle._realized_vector(cfg, lam, sigma)
+    rows = scanned_rows(cfg.int_points[j], lam + sum(sigma), mult)
+    return all(sum(c * row.get(k, 0) for k, c in vec.items()) == 0 for row in rows)
+
+
 def test_vanishing_records_agree_with_the_direct_check(monkeypatch):
-    # with the direct check of the realized form stubbed to False, the
-    # vanishing verdict comes from the line-product records alone; it must
-    # name the first point at which the direct check fails, for every
-    # monomial of every effective class with a_i in -1..d, d <= 6, n = 2..4
-    direct = lru_cache(maxsize=None)(oracle._vanishes_at)
+    # the vanishing verdict, from the line-product records, must name the
+    # first point at which the direct check of the realized form fails, for
+    # every monomial of every effective class with a_i in -1..d, d <= 6,
+    # n = 2..4
     fresh_records(monkeypatch)
-    monkeypatch.setattr(oracle, "_vanishes_at", lambda cfg, j, mult, lam, sigma: False)
     failures = 0
     for cfg in (*integer_path_configs(), *(bent_config(n) for n in (2, 3, 4))):
         for d in range(0, 7):
@@ -486,10 +494,8 @@ def test_vanishing_records_agree_with_the_direct_check(monkeypatch):
                 if not picard.is_effective(D):
                     continue
                 for m in enumerate_standard_monomials(D):
-                    expected = next(
-                        (f"vanishing at p{j + 1}" for j, aj in enumerate(a) if aj > 0 and not direct(cfg, j, aj, m.lam, m.sigma)),
-                        None,
-                    )
+                    missed = [j for j, aj in enumerate(a) if aj > 0 and not direct_vanishing(cfg, j, aj, m.lam, m.sigma)]
+                    expected = f"vanishing at p{missed[0] + 1}" if missed else None
                     got = oracle.basis_failure(cfg, D, [m])
                     assert (got if got and got.startswith("vanishing") else None) == expected, (cfg, D, m)
                     failures += expected is not None
@@ -498,7 +504,7 @@ def test_vanishing_records_agree_with_the_direct_check(monkeypatch):
 
 def test_a_line_product_that_misses_its_point_is_rejected(monkeypatch):
     # s1 moved onto the last line inside every product: the forms no longer
-    # vanish at p1, and neither the record nor the direct check passes them
+    # vanish at p1, and the record is not raised
     real = oracle._line_product
     monkeypatch.setattr(oracle, "_line_product", lambda cfg, sigma: real(cfg, (0,) + sigma[1:-1] + (sigma[-1] + sigma[0],)))
     monkeypatch.setattr(oracle, "_realized_vector", lru_cache(maxsize=None)(oracle._realized_vector.__wrapped__))
