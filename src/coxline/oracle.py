@@ -309,17 +309,6 @@ class HomogeneousForm:
 
 
 @lru_cache(maxsize=None)
-def line_forms(cfg: PointConfig) -> tuple[HomogeneousForm, tuple[HomogeneousForm, ...]]:
-    """The form of the base line Y and the lines through q and each p[i],
-    each with its leading coefficient (x > y > z order) scaled to 1."""
-    ly = HomogeneousForm.linear(0, 1, 0)
-    lines = tuple(
-        HomogeneousForm.linear(*(Fraction(c, _lead(line)) for c in line)) for line in cfg.int_lines
-    )
-    return ly, lines
-
-
-@lru_cache(maxsize=None)
 def monomials_of_degree(d: int) -> tuple[tuple[int, int, int], ...]:
     """Degree-d exponent triples in descending graded lex order, x > y > z."""
     triples = [
@@ -375,13 +364,19 @@ def _point_rows(point, d: int, mult: int) -> tuple[dict, ...]:
 
 def constraint_rows(cfg: PointConfig, D: DivisorClass) -> list[dict]:
     """Sparse integer rows of the interpolation matrix for D, built from the
-    integer points (multiplicities clamped at 0)."""
+    integer points, with multiplicities clamped to 0..d+1.
+
+    Vanishing to order d + 1 already forces a degree-d form to zero: its
+    rows are the coefficients times u!v!w!.  A higher multiplicity would ask
+    for derivatives of order above d, which are empty rows, and would put no
+    condition at the point at all.
+    """
     if cfg.n != D.n:
         raise ValueError(f"config has {cfg.n} points but class has n = {D.n}")
     rows = []
     for p, ai in zip(cfg.int_points, D.a):
         if ai > 0:
-            rows.extend(_point_rows(p, D.d, ai))
+            rows.extend(_point_rows(p, D.d, min(ai, D.d + 1)))
     return rows
 
 

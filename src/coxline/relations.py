@@ -15,11 +15,11 @@ computationally rather than assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coxmono import CoxMonomial, degree_of, in_initial_ideal
-from .oracle import PointConfig, line_forms
+from .coxmono import CoxMonomial, degree_of
+from .oracle import PointConfig, _lead
 
 
 def _grlex_key(m: CoxMonomial):
@@ -29,12 +29,17 @@ def _grlex_key(m: CoxMonomial):
 
 @dataclass(frozen=True)
 class Relation:
-    """g[i] = s[i]e[i] + a_coeff * s[n-1]e[n-1] + b_coeff * s[n]e[n]."""
+    """g[i] = s[i]e[i] + a_coeff * s[n-1]e[n-1] + b_coeff * s[n]e[n].
+
+    The trinomial is built once, with the relation; polynomial() returns
+    that one GradedPolynomial, which every division by the relation uses.
+    """
 
     n: int
     i: int
     a_coeff: Fraction
     b_coeff: Fraction
+    _polynomial: GradedPolynomial = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a_coeff", Fraction(self.a_coeff))
@@ -45,16 +50,18 @@ class Relation:
             raise ValueError(
                 "degenerate configuration: relation coefficients must be nonzero"
             )
-
-    def polynomial(self) -> "GradedPolynomial":
         n, i = self.n, self.i
-        return GradedPolynomial(
+        g = GradedPolynomial(
             {
                 CoxMonomial.gen_s(n, i) * CoxMonomial.gen_e(n, i): Fraction(1),
                 CoxMonomial.gen_s(n, n - 1) * CoxMonomial.gen_e(n, n - 1): self.a_coeff,
                 CoxMonomial.gen_s(n, n) * CoxMonomial.gen_e(n, n): self.b_coeff,
             }
         )
+        object.__setattr__(self, "_polynomial", g)
+
+    def polynomial(self) -> "GradedPolynomial":
+        return self._polynomial
 
     def to_json(self) -> dict:
         return {"i": self.i, "a": str(self.a_coeff), "b": str(self.b_coeff)}
@@ -98,10 +105,6 @@ class GradedPolynomial:
     def from_monomial(cls, m: CoxMonomial, c=1) -> "GradedPolynomial":
         return cls({m: c})
 
-    @classmethod
-    def zero(cls) -> "GradedPolynomial":
-        return cls({})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -125,10 +128,6 @@ class GradedPolynomial:
         for m, c in other.terms.items():
             out[m] = out.get(m, Fraction(0)) - c
         return GradedPolynomial(out)
-
-    def scaled(self, c) -> "GradedPolynomial":
-        c = Fraction(c)
-        return GradedPolynomial({m: c * v for m, v in self.terms.items()})
 
     def times_monomial(self, mono: CoxMonomial, c=1) -> "GradedPolynomial":
         c = Fraction(c)
@@ -154,80 +153,66 @@ class GradedPolynomial:
         return f"GradedPolynomial({self})"
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    """One division step: subtracted coeff * multiplier * g[divisor_index]."""
-
-    divisor_index: int
-    multiplier: CoxMonomial
-    coeff: Fraction
-
-    def to_json(self) -> dict:
-        return {
-            "divisor": self.divisor_index,
-            "multiplier": self.multiplier.to_json(),
-            "coeff": str(self.coeff),
-        }
+def _monic_line(line) -> tuple[Fraction, Fraction, Fraction]:
+    """An integer line (cx, cy, cz) scaled to leading coefficient 1."""
+    lead = _lead(line)
+    return tuple(Fraction(c, lead) for c in line)
 
 
 def derive_relations(cfg: PointConfig) -> list[Relation]:
     """Solve the three-line dependencies l[i] + a*l[n-1] + b*l[n] = 0.
 
-    Returns n - 2 relations, each verified to hold identically as plane
-    forms and to have nonzero coefficients.  For n = 2 the section ring is
-    free and the list is empty.
+    The lines are cfg.int_lines, each scaled to leading coefficient 1.
+    Returns n - 2 relations, each with nonzero coefficients and each
+    verified by verify_relation_geometrically, which raises ArithmeticError
+    if a dependency fails to close.  For n = 2 the section ring is free and
+    the list is empty.
     """
     n = cfg.n
     if n < 2:
         raise ValueError("unsupported: need at least two points")
     if n == 2:
         return []
-    _, lines = line_forms(cfg)
+    lines = [_monic_line(line) for line in cfg.int_lines]
     out = []
     for i in range(1, n - 1):
         a, b = _line_dependency(lines[i - 1], lines[n - 2], lines[n - 1])
-        residual = lines[i - 1] + lines[n - 2].scale(a) + lines[n - 1].scale(b)
-        if not residual.is_zero():
-            raise ArithmeticError(f"dependency failed to close for i={i}: {residual}")
-        out.append(Relation(n, i, a, b))
+        r = Relation(n, i, a, b)
+        if not verify_relation_geometrically(cfg, r):
+            raise ArithmeticError(f"dependency failed to close for i={i}: {r}")
+        out.append(r)
     return out
 
 
 def _line_dependency(u, v, w) -> tuple[Fraction, Fraction]:
-    """Coefficients (a, b) with u + a*v + b*w = 0 for three concurrent lines."""
-    uc = [u.coeffs.get(e, Fraction(0)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    vc = [v.coeffs.get(e, Fraction(0)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    wc = [w.coeffs.get(e, Fraction(0)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    """Coefficients (a, b) with u + a*v + b*w = 0 for three concurrent lines,
+    each given as its coefficient triple (cx, cy, cz)."""
     for r1 in range(3):
         for r2 in range(r1 + 1, 3):
-            det = vc[r1] * wc[r2] - vc[r2] * wc[r1]
+            det = v[r1] * w[r2] - v[r2] * w[r1]
             if det == 0:
                 continue
-            a = (-uc[r1] * wc[r2] + uc[r2] * wc[r1]) / det
-            b = (-vc[r1] * uc[r2] + vc[r2] * uc[r1]) / det
+            a = (-u[r1] * w[r2] + u[r2] * w[r1]) / det
+            b = (-v[r1] * u[r2] + v[r2] * u[r1]) / det
             return a, b
     raise ValueError("the two anchor lines are proportional; invalid configuration")
 
 
 def normal_form(p: GradedPolynomial, rels) -> GradedPolynomial:
-    """Remainder of p under division by the g[i], ascending index order."""
-    nf, _ = reduce_with_trace(p, rels)
-    return nf
+    """Remainder of p under division by the g[i] of rels.
 
-
-def reduce_with_trace(
-    p: GradedPolynomial, rels
-) -> tuple[GradedPolynomial, tuple[ReductionStep, ...]]:
-    """Division with the full step log (divisor index, multiplier, coeff)."""
-    gens = [(r.i, r.polynomial()) for r in rels]
-    lms = [g.leading_monomial() for _, g in gens]
+    The largest remaining term (graded lex) is divided by the first g[i],
+    in the order of rels, whose leading monomial divides it; a term that
+    none divides goes to the remainder.  Each g[i] is the one polynomial
+    its Relation holds, monic in its leading term s[i]e[i].
+    """
+    gens = [(g, g.leading_monomial()) for g in (r.polynomial() for r in rels)]
     work = dict(p.terms)
     remainder = {}
-    steps = []
     while work:
         m = max(work, key=_grlex_key)
         c = work.pop(m)
-        for (idx, g), lm in zip(gens, lms):
+        for g, lm in gens:
             if lm.divides(m):
                 quot = m // lm
                 # g is monic in its leading term, which cancels the popped one
@@ -240,11 +225,10 @@ def reduce_with_trace(
                         work[key] = val
                     else:
                         work.pop(key, None)
-                steps.append(ReductionStep(idx, quot, c))
                 break
         else:
             remainder[m] = c
-    return GradedPolynomial(remainder), tuple(steps)
+    return GradedPolynomial(remainder)
 
 
 def s_polynomial(f: GradedPolynomial, g: GradedPolynomial) -> GradedPolynomial:
@@ -264,18 +248,9 @@ def spoly_reduce(i: int, j: int, rels) -> GradedPolynomial:
 
 
 def verify_relation_geometrically(cfg: PointConfig, r: Relation) -> bool:
-    """Check l[i] + a*l[n-1] + b*l[n] = 0 coefficientwise as plane forms."""
+    """Check l[i] + a*l[n-1] + b*l[n] = 0 coefficientwise, on the lines
+    cfg.int_lines scaled to leading coefficient 1."""
     if cfg.n != r.n:
         raise ValueError(f"config has {cfg.n} points but relation has n = {r.n}")
-    _, lines = line_forms(cfg)
-    residual = (
-        lines[r.i - 1]
-        + lines[r.n - 2].scale(r.a_coeff)
-        + lines[r.n - 1].scale(r.b_coeff)
-    )
-    return residual.is_zero()
-
-
-def is_standard_support(p: GradedPolynomial) -> bool:
-    """True iff no term of p lies in the initial ideal."""
-    return all(not in_initial_ideal(m) for m in p.terms)
+    u, v, w = (_monic_line(cfg.int_lines[k]) for k in (r.i - 1, r.n - 2, r.n - 1))
+    return all(x + r.a_coeff * y + r.b_coeff * z == 0 for x, y, z in zip(u, v, w))

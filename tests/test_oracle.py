@@ -4,7 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, perm
+from math import gcd, lcm, perm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +17,6 @@ from coxline.oracle import (
     PointConfig,
     constraint_rows,
     h0_rank,
-    line_forms,
     monomials_of_degree,
     realize_monomial,
     verify_basis_independence,
@@ -75,29 +74,35 @@ def test_config_rejects_degenerate_data():
         PointConfig.explicit([(0, 0, 1), (0, 1, 2)], q=(0, 1, 1))
 
 
+def line_form(cfg, i):
+    """The line through q and p[i] as the oracle prints it: the realized
+    form of s[i], with leading coefficient 1."""
+    return realize_monomial(cfg, CoxMonomial.gen_s(cfg.n, i + 1))
+
+
 def test_line_forms_default_config():
-    ly, lines = line_forms(CFG3)
-    assert str(ly) == "y"
-    assert [str(f) for f in lines] == ["x", "x - z", "x - 2*z"]
+    assert CFG3.int_lines == ((1, 0, 0), (1, 0, -1), (1, 0, -2))
+    assert str(realize_monomial(CFG3, CoxMonomial.gen_l(3))) == "y"
+    assert [str(line_form(CFG3, i)) for i in range(3)] == ["x", "x - z", "x - 2*z"]
 
 
 def test_line_forms_vanishing_conditions():
     for cfg in (CFG3, CFG3_ALT, PointConfig.default(5)):
-        ly, lines = line_forms(cfg)
         for i, p in enumerate(cfg.points):
-            assert lines[i].evaluate(p) == 0
-            assert lines[i].evaluate(cfg.q) == 0
-            assert ly.evaluate(p) == 0
+            line = cfg.int_lines[i]
+            assert sum(c * x for c, x in zip(line, p)) == 0
+            assert sum(c * x for c, x in zip(line, cfg.q)) == 0
+            assert p[1] == 0  # on the base line y = 0
             for j, other in enumerate(cfg.points):
                 if j != i:
-                    assert lines[i].evaluate(other) != 0
+                    assert sum(c * x for c, x in zip(line, other)) != 0
 
 
 def test_line_forms_are_normalized():
     for cfg in (CFG3, CFG3_ALT):
-        _, lines = line_forms(cfg)
-        for f in lines:
-            lead = f.terms_sorted()[0][1]
+        for i, line in enumerate(cfg.int_lines):
+            assert gcd(*line) == 1 and next(c for c in line if c) > 0
+            lead = line_form(cfg, i).terms_sorted()[0][1]
             assert lead == 1
 
 
@@ -107,6 +112,18 @@ def test_h0_rank_examples():
     assert h0_rank(CFG3_ALT, DivisorClass.line(3)) == 3
     assert h0_rank(CFG3, DivisorClass(2, (2, 1, 1))) == 2
     assert h0_rank(CFG3, DivisorClass(-1, (0, 0, 0))) == 0
+
+
+def test_h0_rank_is_zero_past_multiplicity_d_plus_1():
+    # unclamped, a multiplicity of d + 2 or more asks for derivative rows of
+    # order above d, which are empty, so the point imposes nothing; the
+    # small classes come first so that such a build fails on them before
+    # the huge one, which would ask for about 10^60 rows
+    assert h0_rank(CFG3, DivisorClass(1, (3, 0, 0))) == 0
+    assert h0_rank(CFG3, DivisorClass(2, (5, 0, 0))) == 0
+    assert h0_rank(CFG3, DivisorClass(2, (4, 1, 0))) == 0
+    assert h0_rank(CFG3, DivisorClass(1, (10**30, 0, 0))) == 0
+    assert len(constraint_rows(CFG3, DivisorClass(1, (10**30, 0, 0)))) == 3
 
 
 def test_constraint_matrix_of_the_collinear_double_point():
@@ -236,13 +253,13 @@ def test_form_arithmetic():
 
 
 def test_form_json_round_trip():
-    _, lines = line_forms(CFG3_ALT)
-    payload = lines[0].to_json()
+    form = line_form(CFG3_ALT, 0)
+    payload = form.to_json()
     rebuilt = HomogeneousForm(
         payload["degree"],
         {tuple(t["exps"]): Fraction(t["coeff"]) for t in payload["terms"]},
     )
-    assert rebuilt == lines[0]
+    assert rebuilt == form
 
 
 def test_load_config(tmp_path):
@@ -328,7 +345,9 @@ def test_integer_rows_have_the_rank_of_the_fraction_rows():
                 D = DivisorClass(d, a)
                 rows = constraint_rows(cfg, D)
                 assert all(type(c) is int for row in rows for c in row.values())
-                fraction_rows = [r for p, ai in zip(cfg.points, D.a) if ai > 0 for r in oracle._point_rows(p, d, ai)]
+                fraction_rows = [
+                    r for p, ai in zip(cfg.points, D.a) if ai > 0 for r in oracle._point_rows(p, d, min(ai, d + 1))
+                ]
                 assert dense_rank(densify(rows, ncols)) == dense_rank(densify(fraction_rows, ncols))
 
 
@@ -541,4 +560,24 @@ def test_h0_equals_the_interpolation_rank_on_random_configs(case):
     # the section dimension of the lattice side
     cfg, D = case
     assume(picard.is_effective(D))
+    assert picard.h0(D) == h0_rank(cfg, D)
+
+
+@st.composite
+def any_classes(draw):
+    """A random collinear config and any class, effective or not, with
+    multiplicities up to d + 3."""
+    n = draw(st.integers(2, 4))
+    t = draw(st.lists(rationals, min_size=n, max_size=n, unique=True))
+    q = (draw(rationals), draw(rationals.filter(lambda y: y != 0)), draw(rationals))
+    d = draw(st.integers(-1, 7))
+    a = tuple(draw(st.lists(st.integers(-2, d + 3), min_size=n, max_size=n)))
+    return PointConfig.collinear(t, q), DivisorClass(d, a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_classes())
+def test_h0_equals_the_interpolation_rank_on_every_class(case):
+    # off the effective cone too: a multiplicity above d forces the form to 0
+    cfg, D = case
     assert picard.h0(D) == h0_rank(cfg, D)

@@ -5,22 +5,23 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxline.coxmono import (
     CoxMonomial,
     enumerate_monomials,
     enumerate_standard_monomials,
+    in_initial_ideal,
 )
-from coxline.oracle import PointConfig, _rank_of_sparse_rows
+from coxline.oracle import HomogeneousForm, PointConfig, _rank_of_sparse_rows
 from coxline.picard import DivisorClass, is_nef
 from coxline.relations import (
     GradedPolynomial,
     Relation,
     _grlex_key,
     derive_relations,
-    is_standard_support,
     normal_form,
-    reduce_with_trace,
     s_polynomial,
     spoly_reduce,
     verify_relation_geometrically,
@@ -138,22 +139,8 @@ def test_normal_form_idempotent_and_standard_supported():
     for D in (DivisorClass.line(4), DivisorClass(2, (1, 1, 0, 0)), DivisorClass(2, (1, 1, 1, 1))):
         for m in enumerate_monomials(D):
             nf = normal_form(GradedPolynomial.from_monomial(m), rels)
-            assert is_standard_support(nf)
+            assert not any(in_initial_ideal(mono) for mono in nf.terms)
             assert normal_form(nf, rels) == nf
-
-
-def test_reduction_trace_reconstructs_the_division():
-    cfg = PointConfig.default(4)
-    rels = derive_relations(cfg)
-    p = GradedPolynomial.from_monomial(mono_se(4, 1) * mono_se(4, 2))
-    nf, steps = reduce_with_trace(p, rels)
-    rebuilt = p
-    for step in steps:
-        g = rels[step.divisor_index - 1].polynomial()
-        rebuilt = rebuilt - g.times_monomial(step.multiplier, step.coeff)
-    assert rebuilt == nf
-    payload = [s.to_json() for s in steps]
-    assert all(set(entry) == {"divisor", "multiplier", "coeff"} for entry in payload)
 
 
 def test_spoly_pairs_reduce_to_zero():
@@ -226,3 +213,92 @@ def test_graded_polynomial_drops_zero_terms():
 def test_relation_json_schema():
     (r,) = derive_relations(PointConfig.default(3))
     assert r.to_json() == {"i": 1, "a": "-2", "b": "1"}
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@st.composite
+def rational_configs(draw):
+    """n = 3..7 distinct rational t on y = 0 and a rational q off it."""
+    n = draw(st.integers(3, 7))
+    t = draw(st.lists(rationals, min_size=n, max_size=n, unique=True))
+    q = (draw(rationals), draw(rationals.filter(lambda y: y != 0)), draw(rationals))
+    return PointConfig.collinear(t, q)
+
+
+def reference_relations(cfg):
+    """(i, a, b) from HomogeneousForm lines through cfg.q and cfg.points,
+    each scaled to leading coefficient 1: l[i] + a*l[n-1] + b*l[n] vanishes
+    at p[n], where l[n-1] does not and l[n] does, which gives a, and
+    likewise at p[n-1], which gives b."""
+    q = cfg.q
+    lines = []
+    for p in cfg.points:
+        line = HomogeneousForm.linear(
+            q[1] * p[2] - q[2] * p[1], q[2] * p[0] - q[0] * p[2], q[0] * p[1] - q[1] * p[0]
+        )
+        lines.append(line.scale(1 / line.terms_sorted()[0][1]))
+    n = cfg.n
+    out = []
+    for i in range(1, n - 1):
+        u, v, w = lines[i - 1], lines[n - 2], lines[n - 1]
+        a = -u.evaluate(cfg.points[n - 1]) / v.evaluate(cfg.points[n - 1])
+        b = -u.evaluate(cfg.points[n - 2]) / w.evaluate(cfg.points[n - 2])
+        assert (u + v.scale(a) + w.scale(b)).is_zero()
+        out.append((i, a, b))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_configs())
+def test_relations_on_random_rational_configs(cfg):
+    rels = derive_relations(cfg)
+    assert [(r.i, r.a_coeff, r.b_coeff) for r in rels] == reference_relations(cfg)
+    for r in rels:
+        assert r.polynomial() is r.polynomial()
+        assert verify_relation_geometrically(cfg, r)
+        assert not verify_relation_geometrically(cfg, Relation(r.n, r.i, r.a_coeff + 1, r.b_coeff))
+        assert not verify_relation_geometrically(cfg, Relation(r.n, r.i, r.a_coeff, r.b_coeff * 2))
+    for i, j in itertools.combinations(range(1, len(rels) + 1), 2):
+        assert spoly_reduce(i, j, rels).is_zero()
+
+
+T_POOL_A = (Fraction(-1), Fraction(1, 2), Fraction(3), Fraction(9, 2), Fraction(-5), Fraction(22, 3))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("pool", ["default", "pool-a"])
+def test_division_agrees_with_sympy(pool, n):
+    # an independent Groebner basis and division: sympy's, in the same
+    # graded lex order s1 > ... > sn > e1 > ... > en > l
+    sympy = pytest.importorskip("sympy")
+    cfg = PointConfig.default(n) if pool == "default" else PointConfig.collinear(T_POOL_A[:n], q=(1, 2, 1))
+    rels = derive_relations(cfg)
+    s_vars = sympy.symbols(f"s1:{n + 1}")
+    e_vars = sympy.symbols(f"e1:{n + 1}")
+    l_var = sympy.Symbol("l")
+    gens = (*s_vars, *e_vars, l_var)
+
+    def to_sympy(p):
+        total = sympy.Integer(0)
+        for m, c in p.terms.items():
+            term = sympy.Rational(c.numerator, c.denominator) * l_var**m.lam
+            for x, k in zip(s_vars, m.sigma):
+                term *= x**k
+            for x, k in zip(e_vars, m.epsilon):
+                term *= x**k
+            total += term
+        return sympy.expand(total)
+
+    basis = [to_sympy(r.polynomial()) for r in rels]
+    groebner = sympy.groebner(basis, *gens, order="grlex")
+    assert set(groebner.exprs) == set(basis)
+
+    line = DivisorClass.line(n)
+    classes = (line, line + line, DivisorClass(2, (1, 1) + (0,) * (n - 2)))
+    checked = [GradedPolynomial.from_monomial(m) for D in classes for m in enumerate_monomials(D)]
+    checked += [s_polynomial(f.polynomial(), g.polynomial()) for f, g in itertools.combinations(rels, 2)]
+    for p in checked:
+        _, remainder = sympy.reduced(to_sympy(p), basis, *gens, order="grlex")
+        assert sympy.expand(remainder - to_sympy(normal_form(p, rels))) == 0

@@ -24,8 +24,8 @@ inputs' largest matrix and coefficient bit length are recorded too.  A
 case that runs past --timeout is recorded as such.  Per case the output
 gives both sides' figures, whether their stdout and exit codes are
 byte-identical, and the parent/change ratio of the in-process time; per
-series it gives the slope of log(time) against log(d).  Standard library
-only.
+series it gives the slope of log(time) against log(d), or null when the
+series never reaches FIT_FLOOR_S.  Standard library only.
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ SHAPES = {
     "one-two-large": lambda d: (d, 1, d - 5, d - 5),
 }
 SWEEP_DMAX = (12, 16)
+# a series whose largest time is below this is flat CLI work that does not
+# grow with d, so an exponent fitted to it is noise
+FIT_FLOOR_S = 0.1
 
 CHILD = r"""
 import io, json, sys, time
@@ -147,9 +150,10 @@ def cases(readme_cfg):
 
 
 def slope(points):
-    """Least-squares slope of log(t) against log(d)."""
+    """Least-squares slope of log(t) against log(d); None when the largest
+    time is below FIT_FLOOR_S."""
     pts = [(math.log(d), math.log(t)) for d, t in points if t and t > 0]
-    if len(pts) < 2:
+    if len(pts) < 2 or max(t for _, t in points if t) < FIT_FLOOR_S:
         return None
     mx = sum(x for x, _ in pts) / len(pts)
     my = sum(y for _, y in pts) / len(pts)
