@@ -335,12 +335,12 @@ def _n_list(text: str) -> list[int]:
 def _cmd_verify(args) -> int:
     if args.config:
         cfgs = [oracle.load_config(args.config)]
-        if args.n_list:
+        if args.n_list is not None:
             wanted = _n_list(args.n_list)
             if wanted != [cfgs[0].n]:
                 raise UsageError("--n-list must match the n of the loaded config")
     else:
-        n_list = _n_list(args.n_list) if args.n_list else [args.n]
+        n_list = _n_list(args.n_list) if args.n_list is not None else [args.n]
         cfgs = [PointConfig.default(n) for n in n_list]
     if args.dmax < 0:
         raise UsageError("--dmax must be >= 0")

@@ -15,7 +15,9 @@ multigraded Hilbert function of the quotient ring.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .picard import DivisorClass, is_nef
 
@@ -121,18 +123,6 @@ def degree_of(m: CoxMonomial) -> DivisorClass:
     )
 
 
-def has_degree(m: CoxMonomial, D: DivisorClass) -> bool:
-    """degree_of(m) == D, as plain arithmetic on the exponents."""
-    lam, sigma = m.lam, m.sigma
-    # zip would truncate, so the lengths are compared first
-    if len(sigma) != len(D.a) or lam + sum(sigma) != D.d:
-        return False
-    for s, e, ai in zip(sigma, m.epsilon, D.a):
-        if lam + s - e != ai:
-            return False
-    return True
-
-
 def generators(n: int) -> list[tuple[str, CoxMonomial]]:
     """The 2n + 1 ring generators with their display names."""
     gens = [("l", CoxMonomial.gen_l(n))]
@@ -143,45 +133,118 @@ def generators(n: int) -> list[tuple[str, CoxMonomial]]:
 
 def in_initial_ideal(m: CoxMonomial) -> bool:
     """True iff some s[i]e[i] with i <= n-2 divides m."""
-    sigma, epsilon = m.sigma, m.epsilon
-    for i in range(len(sigma) - 2):
-        if sigma[i] > 0 and epsilon[i] > 0:
+    return head_in_initial_ideal(m.sigma[:-2], m.epsilon[:-2])
+
+
+def head_in_initial_ideal(sigma_head, eps_head) -> bool:
+    """True iff some s[i]e[i] divides s^sigma_head * e^eps_head, the first
+    n - 2 exponents of a monomial: the whole of what in_initial_ideal reads."""
+    for s, e in zip(sigma_head, eps_head):
+        if s > 0 and e > 0:
             return True
     return False
 
 
-def enumerate_standard_monomials(D: DivisorClass) -> tuple[CoxMonomial, ...]:
-    """All standard monomials of degree exactly D, in canonical order.
+class StandardRun(NamedTuple):
+    """One level run: the monomials l^lam * s^sigma * e^epsilon with
+
+        sigma   = sigma_head + (s, rest - s)
+        epsilon = eps_head + (s + off_pen, rest - s + off_last)
+
+    for s = lo..hi.  The degree d = lam + sum(sigma_head) + rest,
+    a[i] = lam + sigma_head[i] - eps_head[i] (i <= n-2),
+    a[n-1] = lam - off_pen and a[n] = lam - off_last is the same at every
+    s, and each exponent is monotone in s, so they are all non-negative
+    when they are at s = lo and s = hi.  Whether a monomial of the run lies
+    in the initial ideal depends on (sigma_head, eps_head) alone.
+    """
+
+    lam: int
+    sigma_head: tuple[int, ...]
+    eps_head: tuple[int, ...]
+    rest: int
+    lo: int
+    hi: int
+    off_pen: int
+    off_last: int
+
+    @classmethod
+    def of(cls, m: CoxMonomial) -> "StandardRun":
+        """The run of length one that holds exactly m."""
+        *head, pen, last = m.sigma
+        *eps_head, e_pen, e_last = m.epsilon
+        return cls(m.lam, tuple(head), tuple(eps_head), pen + last, pen, pen, e_pen - pen, e_last - last)
+
+    def monomials(self):
+        """The run's monomials, built in ascending s."""
+        lam, head, eps, rest, lo, hi, off_pen, off_last = self
+        for s in range(lo, hi + 1):
+            yield CoxMonomial(lam, head + (s, rest - s), eps + (s + off_pen, rest - s + off_last))
+
+
+class StandardMonomials(Sequence):
+    """The standard monomials of one class, held as their level runs.
+
+    len() is the number of monomials, counted when the runs were listed.
+    Iterating or indexing builds the CoxMonomials on demand, in canonical
+    order; a slice is a tuple.  An index walks the whole sequence, so take
+    tuple(...) once to index it repeatedly.
+    """
+
+    __slots__ = ("runs", "_count")
+
+    def __init__(self, runs: tuple[StandardRun, ...], count: int):
+        self.runs = runs
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        for run in self.runs:
+            yield from run.monomials()
+
+    def __getitem__(self, k):
+        return tuple(self)[k]
+
+
+def enumerate_standard_monomials(D: DivisorClass) -> StandardMonomials:
+    """All standard monomials of degree exactly D, in canonical order, as
+    one StandardRun per level.
 
     For a fixed exponent lam of l, the equations sum(sigma) = d - lam and
     sigma[i] - epsilon[i] = a[i] - lam pin sigma[i] = max(a[i] - lam, 0) for
-    i <= n-2 (complementarity), leaving a single free interval for
+    i <= n-2 (complementarity), leaving a single free interval lo..hi for
     sigma[n-1].  Listing is by ascending lam, then ascending sigma[n-1].
 
-    Each monomial is checked to avoid the initial ideal.  Its degree is not
-    checked here but once, by oracle.verify_basis_independence, to which the
-    sweep and the basis command pass the enumerated monomials.
+    Each run is checked once to avoid the initial ideal, and the monomial
+    count is taken by walking every run one s at a time, so it stays a
+    listing apart from the per-level closed form (count_at_level).  Degrees
+    are not checked here but once per run, by oracle.basis_failure, to which
+    the sweep and the basis command pass the result.
     """
     n, d, a = D.n, D.d, D.a
     head, a_pen, a_last = a[: n - 2], a[n - 2], a[n - 1]
-    found = []
+    runs = []
+    count = 0
     for lam in range(0, d + 1):
         sig_forced = tuple([ai - lam if ai > lam else 0 for ai in head])
         eps_forced = tuple([lam - ai if lam > ai else 0 for ai in head])
         rest = d - lam - sum(sig_forced)
-        if rest < 0:
-            continue
         # epsilon[i] = sigma[i] - a[i] + lam for the two free indices
         off_pen, off_last = lam - a_pen, lam - a_last
         lo = max(-off_pen, 0)
         hi = rest - max(-off_last, 0)
-        for s_pen in range(lo, hi + 1):
-            s_last = rest - s_pen
-            m = CoxMonomial(lam, sig_forced + (s_pen, s_last), eps_forced + (s_pen + off_pen, s_last + off_last))
-            if in_initial_ideal(m):
-                raise ArithmeticError(f"enumerated {m} lies in the initial ideal")
-            found.append(m)
-    return tuple(found)
+        if lo > hi:
+            continue
+        run = StandardRun(lam, sig_forced, eps_forced, rest, lo, hi, off_pen, off_last)
+        if head_in_initial_ideal(run.sigma_head, run.eps_head):
+            raise ArithmeticError(f"enumerated level {run} of {D} lies in the initial ideal")
+        runs.append(run)
+        # walked, not taken as hi - lo + 1: check 1 stays a listing
+        for _ in range(run.lo, run.hi + 1):
+            count += 1
+    return StandardMonomials(tuple(runs), count)
 
 
 def count_at_level(D: DivisorClass, lam: int) -> int:

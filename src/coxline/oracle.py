@@ -445,6 +445,21 @@ def _raise_record(cfg: PointConfig, sigma: tuple[int, ...], j: int, order: int) 
 
 
 @lru_cache(maxsize=None)
+def _run_vanishing(cfg: PointConfig, needs: tuple[int, ...], head: tuple[int, ...], rest: int, lo: int, hi: int) -> str | None:
+    """The first failure, walking s = lo..hi and then j, of the line product
+    of head + (s, rest - s) to vanish at p[j] to order needs[j], named as
+    "vanishing at p<j>", or None.  It reads and raises the vanishing
+    records."""
+    for s in range(lo, hi + 1):
+        sigma = head + (s, rest - s)
+        orders = _vanishing_record(cfg, sigma)
+        for j, need in enumerate(needs):
+            if need > orders[j] and not _raise_record(cfg, sigma, j, need):
+                return f"vanishing at p{j + 1}"
+    return None
+
+
+@lru_cache(maxsize=None)
 def _binary_form(cfg: PointConfig, sigma: tuple[int, ...]) -> dict:
     """Product of the integer lines int_lines[i]^sigma[i] at y = 0, as a map
     from x-exponent to nonzero int: a binary form of degree sum(sigma)."""
@@ -491,30 +506,44 @@ def _full_level_block(cfg: PointConfig, forced: tuple[int, ...], r: int) -> bool
     return _rank_of_sparse_rows(rows) == len(rows)
 
 
-def _certified_by_level_blocks(cfg: PointConfig, D: DivisorClass, keys) -> bool:
-    """Whether the realized vectors of keys are certified independent by
+@lru_cache(maxsize=None)
+def _run_in_level_block(cfg: PointConfig, lam: int, head: tuple[int, ...], rest: int, lo: int, hi: int) -> bool:
+    """Whether the level block of (head, rest) has full rank and the
+    vector of every (lam, head + (s, rest - s)), s = lo..hi, passes its
+    support check."""
+    if not _full_level_block(cfg, head, rest):
+        return False
+    for s in range(lo, hi + 1):
+        if not _in_level_block(cfg, lam, head + (s, rest - s)):
+            return False
+    return True
+
+
+def _runs_certified(cfg: PointConfig, runs) -> bool:
+    """Whether the realized vectors of the monomials of runs, which have
+    passed the degree check of basis_failure, are certified independent by
     their level blocks.
 
     A vector of level lam is y^lam times a product of lines, so sorted by
     lam the vectors form a block-triangular matrix whose diagonal block at
-    lam holds their diagonal rows.  If every key is distinct, has the
-    forced exponents sigma[i] = max(a[i] - lam, 0) for i <= n-2, passes the
-    support check, and lies in a block of full rank, every diagonal block of
-    the class has full rank, and so has the whole matrix.
+    lam holds their diagonal rows.  The certificate asks that every run
+    have the forced head sigma[i] = max(a[i] - lam, 0) for i <= n-2 (with
+    the degree, sigma[i] - epsilon[i] = a[i] - lam, that is: no s[i]e[i]
+    divides the head) and so the rest r = d - lam - sum(head); that every
+    vector pass the support check and lie in a block of full rank; and that
+    runs of the same lam come in ascending, disjoint intervals, so that no
+    vector repeats.  Then every diagonal block of the class has full rank,
+    and so has the whole matrix.
     """
-    if len(set(keys)) != len(keys):
-        return False
-    d, head, in_block = D.d, D.a[:-2], _in_level_block
-    level = None
-    for lam, sigma in keys:
-        if lam != level:
-            level = lam
-            forced = tuple([ai - lam if ai > lam else 0 for ai in head])
-            r = d - lam - sum(forced)
-            if not _full_level_block(cfg, forced, r):
-                return False
-        if sigma[:-2] != forced or sigma[-2] + sigma[-1] != r or not in_block(cfg, lam, sigma):
+    top = {}  # lam -> the largest s listed so far at that level
+    for lam, head, eps, rest, lo, hi, _, _ in runs:
+        if (
+            coxmono.head_in_initial_ideal(head, eps)
+            or lo <= top.get(lam, -1)
+            or not _run_in_level_block(cfg, lam, head, rest, lo, hi)
+        ):
             return False
+        top[lam] = hi
     return True
 
 
@@ -549,51 +578,75 @@ def basis_failure(cfg: PointConfig, D: DivisorClass, mons) -> str | None:
     D, or None when they pass them all: "degree", "vanishing at p<j>",
     "count <k> != h0_rank <h>" or "rank".
 
-    Every monomial must have degree D, every realized form must satisfy the
-    vanishing constraints, their number must equal the interpolation
-    dimension h0_rank(cfg, D), and the forms must be linearly independent.
+    mons is what enumerate_standard_monomials returns, whose level runs are
+    checked as they are, or any iterable of CoxMonomials, each taken as a
+    run of length one (coxmono.StandardRun).  Every monomial must have
+    degree D, with non-negative exponents; every realized form must satisfy
+    the vanishing constraints; their number must equal the interpolation
+    dimension h0_rank(cfg, D); and the forms must be linearly independent.
     Enumeration does not check degrees, so this is the one degree check of
     enumerated monomials.  The forms are the integer products of the lines,
     times y^lam as an exponent shift.
 
-    Each fact is computed once per config and shared across classes: the
-    vector of each (lam, sigma), the vanishing record of each line product
-    sigma, and the rank of each level block (see _certified_by_level_blocks),
-    a binary-form rank of at most d - lam + 1 columns.  Vanishing: y
-    vanishes at every point of y = 0, so by the Leibniz rule y^lam * G
-    vanishes there to order lam + ord(G), and elsewhere to order ord(G).
-    A monomial therefore passes at p[j] when the record of its sigma reaches
-    a[j] - lam (on y = 0) or a[j] (off it); the record is raised on demand
-    by the exact dot check of the line product.  The order of y^lam * G is
-    exactly that sum, and a[j] <= d on an effective class, so a record that
-    cannot be raised is a form that does not vanish to a[j].  When the
-    blocks do not certify the forms, their own exact rank is taken.
+    Each check is made once per run.  The degree is the same at every s of
+    a run, and each exponent is monotone in s, so one degree check and the
+    two ends cover the run.  Vanishing: y vanishes at every point of y = 0,
+    so by the Leibniz rule y^lam * G vanishes there to order lam + ord(G),
+    and elsewhere to order ord(G).  A monomial therefore passes at p[j] when
+    the vanishing record of its sigma reaches a[j] - lam (on y = 0) or a[j]
+    (off it); the record is raised on demand by the exact dot check of the
+    line product.  The order of y^lam * G is exactly that sum, and
+    a[j] <= d on an effective class, so a record that cannot be raised is a
+    form that does not vanish to a[j].  A run's verdict depends only on
+    those needs and its sigmas, and is cached (_run_vanishing).  The forms
+    are certified independent by their level blocks (_runs_certified);
+    when they are not, their own exact rank is taken.
     """
     if not picard.is_effective(D):
         raise ValueError(f"basis verification needs an effective class, got {D}")
     if cfg.n != D.n:
         raise ValueError(f"config has {cfg.n} points but class has n = {D.n}")
-    points = cfg.int_points
-    # (j, a[j], whether p[j] lies on y = 0), tested exactly on the integer point
-    mults = [(j, aj, points[j][1] == 0) for j, aj in enumerate(D.a) if aj > 0]
-    has_degree, record = coxmono.has_degree, _vanishing_record
-    keys = []
-    for m in mons:
-        if not has_degree(m, D):
+    runs = mons.runs if isinstance(mons, coxmono.StandardMonomials) else [coxmono.StandardRun.of(m) for m in mons]
+    d, a = D.d, D.a
+    k, head_a, a_pen, a_last = D.n - 2, a[:-2], a[-2], a[-1]
+    # 1 where p[j] lies on y = 0, tested exactly on the integer point
+    on_base = [int(p[1] == 0) for p in cfg.int_points]
+    count = 0
+    for lam, head, eps, rest, lo, hi, off_pen, off_last in runs:
+        # zip would truncate, so the length is compared first; eps then has
+        # it too
+        if (
+            len(head) != k
+            or eps != tuple([lam + h - ai for h, ai in zip(head, head_a)])
+            or lam + sum(head) + rest != d
+            or lam - off_pen != a_pen
+            or lam - off_last != a_last
+        ):
             return "degree"
-        lam, sigma = m.lam, m.sigma
-        orders = record(cfg, sigma)
-        for j, aj, on_base in mults:
-            need = aj - lam if on_base else aj
-            if need > orders[j] and not _raise_record(cfg, sigma, j, need):
-                return f"vanishing at p{j + 1}"
-        keys.append((lam, sigma))
+        # every exponent is monotone in s: non-negative at both ends
+        if (
+            lam < 0
+            or not 0 <= lo <= hi <= rest
+            or lo + off_pen < 0
+            or rest - hi + off_last < 0
+            or (k and min(head + eps) < 0)
+        ):
+            return "degree"
+        needs = tuple([aj - lam * b if aj > lam * b else 0 for aj, b in zip(a, on_base)])
+        failure = _run_vanishing(cfg, needs, head, rest, lo, hi)
+        if failure is not None:
+            return failure
+        count += hi - lo + 1
     h = h0_rank(cfg, D)
-    if len(keys) != h:
-        return f"count {len(keys)} != h0_rank {h}"
-    if _certified_by_level_blocks(cfg, D, keys):
+    if count != h:
+        return f"count {count} != h0_rank {h}"
+    if _runs_certified(cfg, runs):
         return None
-    vectors = [_realized_vector(cfg, lam, sigma) for lam, sigma in keys]
+    vectors = [
+        _realized_vector(cfg, lam, head + (s, rest - s))
+        for lam, head, _, rest, lo, hi, _, _ in runs
+        for s in range(lo, hi + 1)
+    ]
     return None if _rank_of_sparse_rows(vectors) == len(vectors) else "rank"
 
 

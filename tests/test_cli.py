@@ -176,6 +176,18 @@ def test_verify_rejects_negative_max_classes(capsys):
     assert out == ""
 
 
+def test_an_empty_n_list_is_a_usage_error(capsys, tmp_path):
+    # '' names no point count: it is not read as the default n, nor as the
+    # n of a loaded config
+    cfgfile = tmp_path / "pts.cfg"
+    cfgfile.write_text("t = 0, 1/2, 7\n")
+    for argv in (["verify", "--n-list", ""], ["--config", str(cfgfile), "verify", "--n-list", ""]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--n-list" in err and "''" in err
+
+
 def test_verify_class_budget_flags_incomplete(capsys):
     code, payload, _ = run_json(capsys, "verify", "--dmax", "3", "--max-classes", "5")
     assert code == 0  # nothing failed, the sweep just stopped early
@@ -326,3 +338,23 @@ def test_basis_failure_names_the_rank(monkeypatch):
     got = basis_failures(report)
     assert got and set(got) == {"rank"}
     assert len(got) == sum(len(real(D)) > 1 for D in nef_classes(3, 3))
+
+
+def test_a_sweep_builds_no_cox_monomial(monkeypatch):
+    # the verify path works on level runs; CoxMonomials are built only where
+    # basis prints them.  The relation checks, whose polynomials are made of
+    # CoxMonomials, are left out by passing no relations.
+    built = []
+    real = coxmono.CoxMonomial.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(coxmono.CoxMonomial, "__init__", counted)
+    report = run_sweep(PointConfig.default(4), 4, rels=[])
+    assert report.ok and report.classes_checked == len(list(nef_classes(4, 4)))
+    assert built == []
+    # the counter sees the monomials that the basis command prints
+    payload = cli._basis_payload(PointConfig.default(4), DivisorClass(2, (1, 0, 0, 0)))
+    assert len(built) == len(payload["monomials"]) > 0

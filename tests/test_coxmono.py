@@ -6,16 +6,17 @@ import pytest
 
 from coxline.coxmono import (
     CoxMonomial,
+    StandardRun,
     count_at_level,
     count_standard_monomials_closed_form,
     degree_of,
     enumerate_monomials,
     enumerate_standard_monomials,
     generators,
-    has_degree,
     in_initial_ideal,
 )
-from coxline.picard import DivisorClass, chi, is_nef
+from coxline.oracle import PointConfig, basis_failure
+from coxline.picard import DivisorClass, chi, is_effective, is_nef
 
 
 def brute_standard_monomials(D):
@@ -61,11 +62,14 @@ def test_degree_examples():
     le123 = CoxMonomial.gen_l(n) * CoxMonomial.gen_e(n, 1) * CoxMonomial.gen_e(n, 2) * CoxMonomial.gen_e(n, 3)
     assert degree_of(le123) == L
     assert degree_of(CoxMonomial.unit(n)) == DivisorClass.zero(n)
-    # the arithmetic check agrees with building the class
+    # the basis check's arithmetic on a run of length one agrees with
+    # building the class, also for a monomial of another n
     mons = (s1e1, le123, CoxMonomial.unit(n), CoxMonomial(2, (1, 0, 3), (0, 2, 1)), CoxMonomial.unit(4))
     for m in mons:
         for D in (L, DivisorClass.zero(n), DivisorClass(6, (3, 0, 4)), DivisorClass.zero(4), degree_of(m)):
-            assert has_degree(m, D) == (degree_of(m) == D)
+            assert is_effective(D)
+            failure = basis_failure(PointConfig.default(D.n), D, [m])
+            assert (failure == "degree") == (degree_of(m) != D)
 
 
 def test_degree_additive_under_multiplication():
@@ -110,6 +114,21 @@ def test_enumeration_matches_brute_force():
             got = enumerate_standard_monomials(D)
             assert set(got) == brute_standard_monomials(D)
             assert len(set(got)) == len(got)  # pairwise distinct
+
+
+def test_standard_monomials_are_held_as_level_runs():
+    D = DivisorClass(3, (1, 1, 1))
+    mons = enumerate_standard_monomials(D)
+    listed = tuple(mons)
+    assert len(mons) == len(listed) == 7
+    # one run per level lam, in ascending lam, of lengths (1, 3, 2, 1)
+    assert [run.lam for run in mons.runs] == [0, 1, 2, 3]
+    assert [len(tuple(run.monomials())) for run in mons.runs] == [1, 3, 2, 1]
+    assert mons[0] == listed[0] and mons[-1] == listed[-1]
+    assert type(mons[1:3]) is tuple and mons[1:3] == listed[1:3]
+    assert mons[:-1] + mons[:1] == listed[:-1] + listed[:1]
+    for m in listed:
+        assert tuple(StandardRun.of(m).monomials()) == (m,)
 
 
 def test_enumeration_canonical_order():

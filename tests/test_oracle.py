@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coxline import oracle, picard
-from coxline.coxmono import CoxMonomial, enumerate_standard_monomials
+from coxline import coxmono, oracle, picard
+from coxline.coxmono import CoxMonomial, degree_of, enumerate_standard_monomials, in_initial_ideal
 from coxline.oracle import (
     HomogeneousForm,
     PointConfig,
@@ -285,10 +285,13 @@ def test_load_config(tmp_path):
 T_POOL_A = (Fraction(-1), Fraction(1, 2), Fraction(3), Fraction(9, 2))
 
 
+@lru_cache(maxsize=None)
 def integer_path_configs():
-    for n in (2, 3, 4):
-        yield PointConfig.default(n)
-        yield PointConfig.collinear(T_POOL_A[:n], q=(1, 2, 1))
+    # one object per config: the oracle's caches are keyed by the config,
+    # and a lookup with an equal but distinct one compares its Fractions
+    return tuple(
+        cfg for n in (2, 3, 4) for cfg in (PointConfig.default(n), PointConfig.collinear(T_POOL_A[:n], q=(1, 2, 1)))
+    )
 
 
 def fraction_realization(cfg, lam, sigma):
@@ -364,6 +367,23 @@ def test_a_repeated_monomial_is_caught_by_the_rank():
         assert not verify_basis_independence(cfg, D, mons[:-1] + mons[:1])
 
 
+def test_a_run_with_a_negative_exponent_fails_the_degree():
+    # each planted run keeps the degree equations of its class, but one
+    # exponent is below 0 at an end of the run
+    R = coxmono.StandardRun
+    cases = (
+        (DivisorClass(2, (1, 0, 0)), R(1, (0,), (0,), 1, 0, 1, 1, 1), R(1, (-1,), (-1,), 2, 0, 1, 1, 1)),  # head
+        (DivisorClass(2, (1, 0, 0)), R(1, (0,), (0,), 1, 0, 1, 1, 1), R(1, (0,), (0,), 1, -1, 1, 1, 1)),  # sigma[n-1]
+        (DivisorClass(2, (1, 0, 0)), R(1, (0,), (0,), 1, 0, 1, 1, 1), R(1, (0,), (0,), 1, 0, 2, 1, 1)),  # sigma[n]
+        (DivisorClass(2, (0, 1, 0)), R(0, (0,), (0,), 2, 1, 2, -1, 0), R(0, (0,), (0,), 2, 0, 2, -1, 0)),  # epsilon[n-1]
+        (DivisorClass(2, (0, 0, 1)), R(0, (0,), (0,), 2, 0, 1, 0, -1), R(0, (0,), (0,), 2, 0, 2, 0, -1)),  # epsilon[n]
+    )
+    for D, real, planted in cases:
+        assert real in enumerate_standard_monomials(D).runs
+        assert oracle.basis_failure(CFG3, D, coxmono.StandardMonomials((real,), 1)) != "degree"
+        assert oracle.basis_failure(CFG3, D, coxmono.StandardMonomials((planted,), 1)) == "degree", planted
+
+
 def test_class_of_another_n_is_a_value_error():
     with pytest.raises(ValueError, match="points"):
         verify_enumerated(CFG3, DivisorClass(2, (1, 0, 0, 0)))
@@ -375,7 +395,16 @@ def test_class_of_another_n_is_a_value_error():
 
 
 def direct_rank_verdict(cfg, mons):
-    vectors = [oracle._realized_vector(cfg, m.lam, m.sigma) for m in mons]
+    return keys_rank_verdict(cfg, tuple((m.lam, m.sigma) for m in mons))
+
+
+@lru_cache(maxsize=None)
+def keys_rank_verdict(cfg, keys):
+    """Whether the realized vectors of keys, pairs (lam, sigma), have full
+    rank; cached, since several cross-checks rank the same classes."""
+    if len(set(keys)) < len(keys):
+        return False  # a repeated key is a repeated vector
+    vectors = [oracle._realized_vector(cfg, lam, sigma) for lam, sigma in keys]
     return oracle._rank_of_sparse_rows(vectors) == len(vectors)
 
 
@@ -391,10 +420,9 @@ def test_family_certificate_agrees_with_the_direct_rank():
                 if not picard.is_effective(D):
                     continue
                 classes += 1
-                mons = list(enumerate_standard_monomials(D))
+                mons = enumerate_standard_monomials(D)
                 assert verify_basis_independence(cfg, D, mons) == direct_rank_verdict(cfg, mons)
-                keys = [(m.lam, m.sigma) for m in mons]
-                certified += oracle._certified_by_level_blocks(cfg, D, keys)
+                certified += oracle._runs_certified(cfg, mons.runs)
     assert certified == classes > 0
 
 
@@ -403,10 +431,11 @@ def test_a_deficient_level_block_falls_back_to_the_direct_rank(monkeypatch):
     # come from the class's own rank, which is full
     real_block = oracle._full_level_block
     monkeypatch.setattr(oracle, "_full_level_block", lambda cfg, forced, r: r != 1 and real_block(cfg, forced, r))
+    # the cached run verdicts read the blocks, so they start afresh
+    monkeypatch.setattr(oracle, "_run_in_level_block", lru_cache(maxsize=None)(oracle._run_in_level_block.__wrapped__))
     for cfg, D in ((CFG3, DivisorClass(4, (2, 1, 1))), (CFG4_POOL_A, DivisorClass(4, (1, 1, 1, 0)))):
-        mons = list(enumerate_standard_monomials(D))
-        keys = [(m.lam, m.sigma) for m in mons]
-        assert not oracle._certified_by_level_blocks(cfg, D, keys)
+        mons = enumerate_standard_monomials(D)
+        assert not oracle._runs_certified(cfg, mons.runs)
         assert direct_rank_verdict(cfg, mons)
         assert verify_basis_independence(cfg, D, mons)
         assert not verify_basis_independence(cfg, D, mons[:-1] + mons[:1])
@@ -445,8 +474,8 @@ def test_level_blocks_certify_random_collinear_configs(case):
     # the verdict equals the class's own rank
     cfg, D = case
     assume(picard.is_effective(D))
-    mons = list(enumerate_standard_monomials(D))
-    assert oracle._certified_by_level_blocks(cfg, D, [(m.lam, m.sigma) for m in mons])
+    mons = enumerate_standard_monomials(D)
+    assert oracle._runs_certified(cfg, mons.runs)
     assert verify_basis_independence(cfg, D, mons) == direct_rank_verdict(cfg, mons)
 
 
@@ -480,13 +509,16 @@ def test_point_rows_equal_a_scan_of_every_column():
                 assert oracle._point_rows(point, d, mult) == scanned_rows(point, d, mult), (point, d, mult)
 
 
+@lru_cache(maxsize=None)
 def bent_config(n):
     """p1 = (0 : 1 : 1) is off the base line y = 0, the others are on it."""
     return PointConfig.explicit([(0, 1, 1)] + [(i, 0, 1) for i in range(1, n)], q=(0, 1, 0))
 
 
 def fresh_records(monkeypatch):
-    monkeypatch.setattr(oracle, "_vanishing_record", lru_cache(maxsize=None)(oracle._vanishing_record.__wrapped__))
+    # the run verdicts are read from the records, so they start afresh too
+    for name in ("_vanishing_record", "_run_vanishing"):
+        monkeypatch.setattr(oracle, name, lru_cache(maxsize=None)(getattr(oracle, name).__wrapped__))
 
 
 @lru_cache(maxsize=None)
@@ -533,6 +565,75 @@ def test_a_line_product_that_misses_its_point_is_rejected(monkeypatch):
         assert oracle._vanishing_record(cfg, (1,) + (0,) * (cfg.n - 1))[0] == 0
         assert oracle.basis_failure(cfg, D, enumerate_standard_monomials(D)) == "vanishing at p1"
         assert not verify_enumerated(cfg, D)
+
+
+def monomial_listing(D):
+    """The standard monomials of D built one CoxMonomial at a time: the
+    listing that the level runs of enumerate_standard_monomials replaced."""
+    n, d, a = D.n, D.d, D.a
+    head, a_pen, a_last = a[: n - 2], a[n - 2], a[n - 1]
+    found = []
+    for lam in range(0, d + 1):
+        sig_forced = tuple(ai - lam if ai > lam else 0 for ai in head)
+        eps_forced = tuple(lam - ai if lam > ai else 0 for ai in head)
+        rest = d - lam - sum(sig_forced)
+        off_pen, off_last = lam - a_pen, lam - a_last
+        for s_pen in range(max(-off_pen, 0), rest - max(-off_last, 0) + 1):
+            s_last = rest - s_pen
+            m = CoxMonomial(lam, sig_forced + (s_pen, s_last), eps_forced + (s_pen + off_pen, s_last + off_last))
+            assert not in_initial_ideal(m)
+            found.append(m)
+    return tuple(found)
+
+
+def monomial_basis_failure(cfg, D, mons):
+    """The basis check one monomial at a time, the path that the level runs
+    replaced, with the direct checks in place of the shared facts: the
+    degree of each monomial, the direct vanishing check of its realized form
+    at each point, the count, and the exact rank of all the forms."""
+    for m in mons:
+        if degree_of(m) != D:
+            return "degree"
+        for j, aj in enumerate(D.a):
+            if aj > 0 and not direct_vanishing(cfg, j, aj, m.lam, m.sigma):
+                return f"vanishing at p{j + 1}"
+    h = h0_rank(cfg, D)
+    if len(mons) != h:
+        return f"count {len(mons)} != h0_rank {h}"
+    return None if direct_rank_verdict(cfg, mons) else "rank"
+
+
+def assert_runs_match_the_reference(cfg, D):
+    mons = enumerate_standard_monomials(D)
+    listed = monomial_listing(D)
+    assert tuple(mons) == listed
+    assert len(mons) == len(listed)
+    # the enumerated runs, then the last monomial replaced by a repeat of
+    # the first, as separate runs of length one
+    for checked in (mons, listed[:-1] + listed[:1]):
+        assert oracle.basis_failure(cfg, D, checked) == monomial_basis_failure(cfg, D, tuple(checked)), (cfg, D)
+
+
+def test_the_runs_agree_with_the_per_monomial_reference():
+    # every effective class with a_i in -1..d, d <= 6, n = 2..4, on the
+    # default, pool-A and non-collinear configurations
+    classes = 0
+    for cfg in (*integer_path_configs(), *(bent_config(n) for n in (2, 3, 4))):
+        for d in range(0, 7):
+            for a in itertools.product(range(-1, d + 1), repeat=cfg.n):
+                D = DivisorClass(d, a)
+                if picard.is_effective(D):
+                    assert_runs_match_the_reference(cfg, D)
+                    classes += 1
+    assert classes > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(collinear_classes())
+def test_the_runs_agree_with_the_reference_on_random_collinear_configs(case):
+    cfg, D = case
+    assume(picard.is_effective(D))
+    assert_runs_match_the_reference(cfg, D)
 
 
 @st.composite

@@ -30,23 +30,33 @@ def sweep_reports(check, cfg, d_max):
 """
 
 FAULTS = {
-    # every enumerated monomial gets one extra e1: its degree is off, which
-    # the basis check, the one degree check of enumerated monomials, catches
+    # every enumerated run gets one extra e1: the degree of its monomials is
+    # off, which the basis check, the one degree check of enumerated
+    # monomials, catches; d = 0, where the extra e1 meets no s1 and the
+    # initial-ideal check of the enumeration passes
     "enumeration degree": """
-real = coxmono.CoxMonomial
-coxmono.CoxMonomial = lambda lam, s, e: real(lam, s, (e[0] + 1,) + e[1:])
-sweep_reports("basis independence", PointConfig.default(3), 2)
+real = coxmono.StandardRun
+coxmono.StandardRun = lambda lam, sh, eh, *tail: real(lam, sh, (eh[0] + 1,) + eh[1:], *tail)
+sweep_reports("basis independence", PointConfig.default(3), 0)
 """,
-    # s3*e3 traded for s1*e1: same degree, but inside the initial ideal
+    # s3*e3 traded for s1*e1 in every monomial of a run that s3*e3 divides,
+    # s = lo..hi-1: same degree, but inside the initial ideal; the last
+    # monomial of the run, which it does not divide, drops out
     "enumeration initial ideal": """
-real = coxmono.CoxMonomial
-def traded(lam, s, e):
-    if s[-1] and e[-1]:
-        s = (s[0] + 1,) + s[1:-1] + (s[-1] - 1,)
-        e = (e[0] + 1,) + e[1:-1] + (e[-1] - 1,)
-    return real(lam, s, e)
-coxmono.CoxMonomial = traded
+real = coxmono.StandardRun
+def traded(lam, sh, eh, rest, lo, hi, off_pen, off_last):
+    if lo < hi:
+        sh, eh, rest, hi = (sh[0] + 1,) + sh[1:], (eh[0] + 1,) + eh[1:], rest - 1, hi - 1
+    return real(lam, sh, eh, rest, lo, hi, off_pen, off_last)
+coxmono.StandardRun = traded
 coxmono.enumerate_standard_monomials(DivisorClass(1, (0, 0, 0)))
+""",
+    # every run one monomial too long: the count is taken by walking the
+    # runs that the enumeration lists, so it is off by the number of runs
+    "enumeration run length": """
+real = coxmono.StandardRun
+coxmono.StandardRun = lambda lam, sh, eh, rest, lo, hi, *offs: real(lam, sh, eh, rest, lo, hi + 1, *offs)
+sweep_reports("standard monomial count", PointConfig.default(3), 2)
 """,
     "closed-form level": """
 coxmono.count_at_level = lambda D, lam: -1
