@@ -69,6 +69,30 @@ def _lead(v: IntVec3) -> int:
     return next(c for c in v if c)
 
 
+class _Facts:
+    """What the oracle has worked out about one configuration object: one
+    plain dict per kind of fact, named after the function that computes it
+    (see _stored) and keyed by that function's arguments after cfg.
+    records holds the vanishing records: (sigma, j) -> the order to which
+    the line product of sigma has been verified to vanish at p[j], absent
+    while that order is 0."""
+
+    __slots__ = (
+        "line_product",
+        "realized_vector",
+        "records",
+        "run_vanishing",
+        "binary_form",
+        "in_level_block",
+        "full_level_block",
+        "run_in_level_block",
+    )
+
+    def __init__(self):
+        for kind in self.__slots__:
+            setattr(self, kind, {})
+
+
 @dataclass(frozen=True)
 class PointConfig:
     """n points and an auxiliary point q fixing all section forms.
@@ -81,6 +105,11 @@ class PointConfig:
     int_points and int_lines are the points and the lines through q and
     each point, scaled to primitive integer coordinates with a positive
     leading entry; the oracle computes with these alone.
+
+    Each config object has its own store of the facts the oracle works out
+    about it (line products, vanishing records, level-block verdicts), so
+    an equal config built afresh starts with an empty one.  Only h0_rank
+    caches by config value.
     """
 
     points: tuple[Point3, ...]
@@ -88,6 +117,7 @@ class PointConfig:
     t: tuple[Fraction, ...] | None = None
     int_points: tuple[IntVec3, ...] = field(init=False, repr=False, compare=False)
     int_lines: tuple[IntVec3, ...] = field(init=False, repr=False, compare=False)
+    _facts: _Facts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(_point(p) for p in self.points))
@@ -116,7 +146,8 @@ class PointConfig:
                     )
         object.__setattr__(self, "int_points", points)
         object.__setattr__(self, "int_lines", tuple(_primitive(_cross(q, p)) for p in points))
-        # every oracle cache is keyed by the config: hash its Fractions once,
+        object.__setattr__(self, "_facts", _Facts())
+        # h0_rank's cache is keyed by the config: hash its Fractions once,
         # not on every lookup
         object.__setattr__(self, "_hash", hash((self.points, self.q, self.t)))
 
@@ -362,6 +393,11 @@ def _point_rows(point, d: int, mult: int) -> tuple[dict, ...]:
     return tuple(rows)
 
 
+def _check_n(cfg: PointConfig, D: DivisorClass) -> None:
+    if cfg.n != D.n:
+        raise ValueError(f"config has {cfg.n} points but class has n = {D.n}")
+
+
 def constraint_rows(cfg: PointConfig, D: DivisorClass) -> list[dict]:
     """Sparse integer rows of the interpolation matrix for D, built from the
     integer points, with multiplicities clamped to 0..d+1.
@@ -371,8 +407,7 @@ def constraint_rows(cfg: PointConfig, D: DivisorClass) -> list[dict]:
     for derivatives of order above d, which are empty rows, and would put no
     condition at the point at all.
     """
-    if cfg.n != D.n:
-        raise ValueError(f"config has {cfg.n} points but class has n = {D.n}")
+    _check_n(cfg, D)
     rows = []
     for p, ai in zip(cfg.int_points, D.a):
         if ai > 0:
@@ -387,13 +422,34 @@ def h0_rank(cfg: PointConfig, D: DivisorClass) -> int:
     This is the ground-truth side of every dimension identity; it never
     consults the cone decompositions or the counting formulas.
     """
+    _check_n(cfg, D)
     if D.d < 0:
         return 0
     ncols = len(monomials_of_degree(D.d))  # C(d+2, 2)
     return ncols - _rank_of_sparse_rows(constraint_rows(cfg, D))
 
 
-@lru_cache(maxsize=None)
+_UNKNOWN = object()
+
+
+def _stored(compute):
+    """compute(cfg, *key), worked out once per configuration object: the
+    value is kept in cfg's store, in the dict named after compute, under
+    key."""
+    kind = compute.__name__.lstrip("_")
+
+    def lookup(cfg: PointConfig, *key):
+        known = getattr(cfg._facts, kind)
+        value = known.get(key, _UNKNOWN)
+        if value is _UNKNOWN:
+            value = known[key] = compute(cfg, *key)
+        return value
+
+    lookup.__name__, lookup.__doc__ = compute.__name__, compute.__doc__
+    return lookup
+
+
+@_stored
 def _line_product(cfg: PointConfig, sigma: tuple[int, ...]) -> dict:
     """Product of the integer lines int_lines[i]^sigma[i], as a map from
     exponent triples to nonzero ints."""
@@ -410,21 +466,13 @@ def _line_product(cfg: PointConfig, sigma: tuple[int, ...]) -> dict:
     return {(0, 0, 0): 1}
 
 
-@lru_cache(maxsize=None)
+@_stored
 def _realized_vector(cfg: PointConfig, lam: int, sigma: tuple[int, ...]) -> dict:
     """Column -> int coefficient of y^lam * prod(int_lines[i]^sigma[i]) in
     degree lam + sum(sigma), a nonzero multiple of the realized form of
     every monomial with this (lam, sigma)."""
     index = _column_index(lam + sum(sigma))
     return {index[ex, ey + lam, ez]: c for (ex, ey, ez), c in _line_product(cfg, sigma).items()}
-
-
-@lru_cache(maxsize=None)
-def _vanishing_record(cfg: PointConfig, sigma: tuple[int, ...]) -> list[int]:
-    """Per point p[j], the order to which the line product of sigma has been
-    verified to vanish there.  The cache hands out the same list to every
-    caller on purpose: it is the record, raised in place by _raise_record."""
-    return [0] * cfg.n
 
 
 def _raise_record(cfg: PointConfig, sigma: tuple[int, ...], j: int, order: int) -> bool:
@@ -440,26 +488,26 @@ def _raise_record(cfg: PointConfig, sigma: tuple[int, ...], j: int, order: int) 
     for row in _point_rows(cfg.int_points[j], s, order):
         if _sparse_dot(row, vec):
             return False
-    _vanishing_record(cfg, sigma)[j] = order
+    cfg._facts.records[sigma, j] = order
     return True
 
 
-@lru_cache(maxsize=None)
+@_stored
 def _run_vanishing(cfg: PointConfig, needs: tuple[int, ...], head: tuple[int, ...], rest: int, lo: int, hi: int) -> str | None:
     """The first failure, walking s = lo..hi and then j, of the line product
     of head + (s, rest - s) to vanish at p[j] to order needs[j], named as
     "vanishing at p<j>", or None.  It reads and raises the vanishing
     records."""
+    records = cfg._facts.records
     for s in range(lo, hi + 1):
         sigma = head + (s, rest - s)
-        orders = _vanishing_record(cfg, sigma)
         for j, need in enumerate(needs):
-            if need > orders[j] and not _raise_record(cfg, sigma, j, need):
+            if need > records.get((sigma, j), 0) and not _raise_record(cfg, sigma, j, need):
                 return f"vanishing at p{j + 1}"
     return None
 
 
-@lru_cache(maxsize=None)
+@_stored
 def _binary_form(cfg: PointConfig, sigma: tuple[int, ...]) -> dict:
     """Product of the integer lines int_lines[i]^sigma[i] at y = 0, as a map
     from x-exponent to nonzero int: a binary form of degree sum(sigma)."""
@@ -477,7 +525,7 @@ def _binary_form(cfg: PointConfig, sigma: tuple[int, ...]) -> dict:
     return {0: 1}
 
 
-@lru_cache(maxsize=None)
+@_stored
 def _in_level_block(cfg: PointConfig, lam: int, sigma: tuple[int, ...]) -> bool:
     """The support check of the level-block certificate: the realized
     vector of (lam, sigma) has y-exponent >= lam on its support, and its
@@ -494,7 +542,7 @@ def _in_level_block(cfg: PointConfig, lam: int, sigma: tuple[int, ...]) -> bool:
     return row == _binary_form(cfg, sigma)
 
 
-@lru_cache(maxsize=None)
+@_stored
 def _full_level_block(cfg: PointConfig, forced: tuple[int, ...], r: int) -> bool:
     """Whether the binary forms of forced + (s, r - s), s = 0..r, have full
     rank.  They are the binary forms of every level whose first n - 2
@@ -506,7 +554,7 @@ def _full_level_block(cfg: PointConfig, forced: tuple[int, ...], r: int) -> bool
     return _rank_of_sparse_rows(rows) == len(rows)
 
 
-@lru_cache(maxsize=None)
+@_stored
 def _run_in_level_block(cfg: PointConfig, lam: int, head: tuple[int, ...], rest: int, lo: int, hi: int) -> bool:
     """Whether the level block of (head, rest) has full rank and the
     vector of every (lam, head + (s, rest - s)), s = lo..hi, passes its
@@ -598,14 +646,14 @@ def basis_failure(cfg: PointConfig, D: DivisorClass, mons) -> str | None:
     line product.  The order of y^lam * G is exactly that sum, and
     a[j] <= d on an effective class, so a record that cannot be raised is a
     form that does not vanish to a[j].  A run's verdict depends only on
-    those needs and its sigmas, and is cached (_run_vanishing).  The forms
-    are certified independent by their level blocks (_runs_certified);
-    when they are not, their own exact rank is taken.
+    those needs and its sigmas, and is kept in cfg's store of facts
+    (_run_vanishing).  The forms are certified independent by their level
+    blocks (_runs_certified); when they are not, their own exact rank is
+    taken.
     """
     if not picard.is_effective(D):
         raise ValueError(f"basis verification needs an effective class, got {D}")
-    if cfg.n != D.n:
-        raise ValueError(f"config has {cfg.n} points but class has n = {D.n}")
+    _check_n(cfg, D)
     runs = mons.runs if isinstance(mons, coxmono.StandardMonomials) else [coxmono.StandardRun.of(m) for m in mons]
     d, a = D.d, D.a
     k, head_a, a_pen, a_last = D.n - 2, a[:-2], a[-2], a[-1]

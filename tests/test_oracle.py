@@ -114,6 +114,13 @@ def test_h0_rank_examples():
     assert h0_rank(CFG3, DivisorClass(-1, (0, 0, 0))) == 0
 
 
+def test_h0_rank_rejects_a_class_of_another_n_in_every_degree():
+    # the point count is checked before the shortcut for d < 0
+    for d in (-1, 1):
+        with pytest.raises(ValueError, match="config has 3 points but class has n = 2"):
+            h0_rank(CFG3, DivisorClass(d, (0, 0)))
+
+
 def test_h0_rank_is_zero_past_multiplicity_d_plus_1():
     # unclamped, a multiplicity of d + 2 or more asks for derivative rows of
     # order above d, which are empty, so the point imposes nothing; the
@@ -287,11 +294,45 @@ T_POOL_A = (Fraction(-1), Fraction(1, 2), Fraction(3), Fraction(9, 2))
 
 @lru_cache(maxsize=None)
 def integer_path_configs():
-    # one object per config: the oracle's caches are keyed by the config,
-    # and a lookup with an equal but distinct one compares its Fractions
-    return tuple(
-        cfg for n in (2, 3, 4) for cfg in (PointConfig.default(n), PointConfig.collinear(T_POOL_A[:n], q=(1, 2, 1)))
-    )
+    # one object per config: the oracle keeps its facts on the config
+    # object, and h0_rank's cache and the test-side caches are keyed by the
+    # config, where a lookup with an equal but distinct one compares its
+    # Fractions
+    return tuple(cfg for n in (2, 3, 4) for cfg in (PointConfig.default(n), pool_a_config(n)))
+
+
+def pool_a_config(n):
+    """A new object for the first n points of the rational configuration."""
+    return PointConfig.collinear(T_POOL_A[:n], q=(1, 2, 1))
+
+
+def reference_configs():
+    """The configurations of the reference cross-checks: default, pool A
+    and non-collinear, n = 2..4."""
+    return (*integer_path_configs(), *(bent_config(n) for n in (2, 3, 4)))
+
+
+@lru_cache(maxsize=None)
+def effective_classes(n):
+    """Every effective class with a_i in -1..d, d <= 6, on n points, with
+    its enumeration and its per-monomial listing: the class set of the
+    reference cross-checks, listed once for all of them, since neither
+    listing depends on the configuration."""
+    classes = []
+    for d in range(0, 7):
+        for a in itertools.product(range(-1, d + 1), repeat=n):
+            D = DivisorClass(d, a)
+            if picard.is_effective(D):
+                classes.append((D, enumerate_standard_monomials(D), monomial_listing(D)))
+    return tuple(classes)
+
+
+def reference_classes(cfgs):
+    """(cfg, D, enumeration, listing) for every cfg of cfgs and every class
+    of effective_classes(cfg.n)."""
+    for cfg in cfgs:
+        for D, mons, listed in effective_classes(cfg.n):
+            yield cfg, D, mons, listed
 
 
 def fraction_realization(cfg, lam, sigma):
@@ -354,7 +395,7 @@ def test_integer_rows_have_the_rank_of_the_fraction_rows():
                 assert dense_rank(densify(rows, ncols)) == dense_rank(densify(fraction_rows, ncols))
 
 
-CFG4_POOL_A = PointConfig.collinear(T_POOL_A, q=(1, 2, 1))
+CFG4_POOL_A = pool_a_config(4)
 
 
 def test_a_repeated_monomial_is_caught_by_the_rank():
@@ -413,27 +454,39 @@ def test_family_certificate_agrees_with_the_direct_rank():
     # verdict equals the exact rank of the class's own vectors, and no class
     # in this range needs the fallback to its own rank
     classes = certified = 0
-    for cfg in integer_path_configs():
-        for d in range(0, 7):
-            for a in itertools.product(range(-1, d + 1), repeat=cfg.n):
-                D = DivisorClass(d, a)
-                if not picard.is_effective(D):
-                    continue
-                classes += 1
-                mons = enumerate_standard_monomials(D)
-                assert verify_basis_independence(cfg, D, mons) == direct_rank_verdict(cfg, mons)
-                certified += oracle._runs_certified(cfg, mons.runs)
+    for cfg, D, mons, listed in reference_classes(integer_path_configs()):
+        classes += 1
+        assert verify_basis_independence(cfg, D, mons) == direct_rank_verdict(cfg, listed)
+        certified += oracle._runs_certified(cfg, mons.runs)
     assert certified == classes > 0
+
+
+def plant_deficient_blocks(monkeypatch):
+    """Every level block with r = 1 reads as deficient."""
+    real_block = oracle._full_level_block
+    monkeypatch.setattr(oracle, "_full_level_block", lambda cfg, forced, r: r != 1 and real_block(cfg, forced, r))
+
+
+def test_facts_belong_to_one_config_object(monkeypatch):
+    # a verdict learnt under a planted deficient block stays with the config
+    # object it was learnt on: an equal config built afresh works out its own
+    runs = enumerate_standard_monomials(DivisorClass(4, (2, 1, 1))).runs
+    planted = PointConfig.default(3)
+    with monkeypatch.context() as patch:
+        plant_deficient_blocks(patch)
+        assert not oracle._runs_certified(planted, runs)
+    fresh = PointConfig.default(3)
+    assert fresh == planted and hash(fresh) == hash(planted)
+    assert oracle._runs_certified(fresh, runs)
+    assert not oracle._runs_certified(planted, runs)
 
 
 def test_a_deficient_level_block_falls_back_to_the_direct_rank(monkeypatch):
     # a planted deficient block: the certificate fails, so the verdict must
-    # come from the class's own rank, which is full
-    real_block = oracle._full_level_block
-    monkeypatch.setattr(oracle, "_full_level_block", lambda cfg, forced, r: r != 1 and real_block(cfg, forced, r))
-    # the cached run verdicts read the blocks, so they start afresh
-    monkeypatch.setattr(oracle, "_run_in_level_block", lru_cache(maxsize=None)(oracle._run_in_level_block.__wrapped__))
-    for cfg, D in ((CFG3, DivisorClass(4, (2, 1, 1))), (CFG4_POOL_A, DivisorClass(4, (1, 1, 1, 0)))):
+    # come from the class's own rank, which is full; the configs are built
+    # afresh, so that the verdicts learnt under the fault stay with them
+    plant_deficient_blocks(monkeypatch)
+    for cfg, D in ((PointConfig.default(3), DivisorClass(4, (2, 1, 1))), (pool_a_config(4), DivisorClass(4, (1, 1, 1, 0)))):
         mons = enumerate_standard_monomials(D)
         assert not oracle._runs_certified(cfg, mons.runs)
         assert direct_rank_verdict(cfg, mons)
@@ -443,15 +496,15 @@ def test_a_deficient_level_block_falls_back_to_the_direct_rank(monkeypatch):
 
 def test_the_support_check_rejects_a_vector_off_its_level(monkeypatch):
     # a vector with a column below y^lam, or whose y^lam part is not the
-    # binary form of sigma, is not a member of a level block
+    # binary form of sigma, is not a member of a level block; each planted
+    # vector is checked on a config built afresh
     lam, sigma = 1, (1, 0, 1)
-    check = oracle._in_level_block.__wrapped__
     vec = oracle._realized_vector(CFG3, lam, sigma)
-    assert check(CFG3, lam, sigma)
+    assert oracle._in_level_block(CFG3, lam, sigma)
     index = oracle._column_index(3)
     for col in (index[2, 0, 1], index[2, 1, 0]):  # y-exponent 0, then lam
         monkeypatch.setattr(oracle, "_realized_vector", lambda cfg, l, s, col=col: {**vec, col: vec.get(col, 0) + 1})
-        assert not check(CFG3, lam, sigma)
+        assert not oracle._in_level_block(PointConfig.default(3), lam, sigma)
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -515,12 +568,6 @@ def bent_config(n):
     return PointConfig.explicit([(0, 1, 1)] + [(i, 0, 1) for i in range(1, n)], q=(0, 1, 0))
 
 
-def fresh_records(monkeypatch):
-    # the run verdicts are read from the records, so they start afresh too
-    for name in ("_vanishing_record", "_run_vanishing"):
-        monkeypatch.setattr(oracle, name, lru_cache(maxsize=None)(getattr(oracle, name).__wrapped__))
-
-
 @lru_cache(maxsize=None)
 def direct_vanishing(cfg, j, mult, lam, sigma):
     """Exact dot check of the realized form of (lam, sigma) against the
@@ -531,38 +578,33 @@ def direct_vanishing(cfg, j, mult, lam, sigma):
     return all(sum(c * row.get(k, 0) for k, c in vec.items()) == 0 for row in rows)
 
 
-def test_vanishing_records_agree_with_the_direct_check(monkeypatch):
+def test_vanishing_records_agree_with_the_direct_check():
     # the vanishing verdict, from the line-product records, must name the
     # first point at which the direct check of the realized form fails, for
     # every monomial of every effective class with a_i in -1..d, d <= 6,
     # n = 2..4
-    fresh_records(monkeypatch)
     failures = 0
-    for cfg in (*integer_path_configs(), *(bent_config(n) for n in (2, 3, 4))):
-        for d in range(0, 7):
-            for a in itertools.product(range(-1, d + 1), repeat=cfg.n):
-                D = DivisorClass(d, a)
-                if not picard.is_effective(D):
-                    continue
-                for m in enumerate_standard_monomials(D):
-                    missed = [j for j, aj in enumerate(a) if aj > 0 and not direct_vanishing(cfg, j, aj, m.lam, m.sigma)]
-                    expected = f"vanishing at p{missed[0] + 1}" if missed else None
-                    got = oracle.basis_failure(cfg, D, [m])
-                    assert (got if got and got.startswith("vanishing") else None) == expected, (cfg, D, m)
-                    failures += expected is not None
+    for cfg, D, _, listed in reference_classes(reference_configs()):
+        for m in listed:
+            missed = [j for j, aj in enumerate(D.a) if aj > 0 and not direct_vanishing(cfg, j, aj, m.lam, m.sigma)]
+            expected = f"vanishing at p{missed[0] + 1}" if missed else None
+            got = oracle.basis_failure(cfg, D, [m])
+            assert (got if got and got.startswith("vanishing") else None) == expected, (cfg, D, m)
+            failures += expected is not None
     assert failures > 0
 
 
 def test_a_line_product_that_misses_its_point_is_rejected(monkeypatch):
     # s1 moved onto the last line inside every product: the forms no longer
-    # vanish at p1, and the record is not raised
+    # vanish at p1, and the record is not raised; the configs are built
+    # afresh, so that the vectors and verdicts learnt under the fault stay
+    # with them
     real = oracle._line_product
     monkeypatch.setattr(oracle, "_line_product", lambda cfg, sigma: real(cfg, (0,) + sigma[1:-1] + (sigma[-1] + sigma[0],)))
-    monkeypatch.setattr(oracle, "_realized_vector", lru_cache(maxsize=None)(oracle._realized_vector.__wrapped__))
-    fresh_records(monkeypatch)
-    for cfg, D in ((CFG3, DivisorClass(2, (1, 1, 0))), (CFG4_POOL_A, DivisorClass(4, (2, 1, 1, 0)))):
-        assert not oracle._raise_record(cfg, (1,) + (0,) * (cfg.n - 1), 0, 1)
-        assert oracle._vanishing_record(cfg, (1,) + (0,) * (cfg.n - 1))[0] == 0
+    for cfg, D in ((PointConfig.default(3), DivisorClass(2, (1, 1, 0))), (pool_a_config(4), DivisorClass(4, (2, 1, 1, 0)))):
+        s1 = (1,) + (0,) * (cfg.n - 1)
+        assert not oracle._raise_record(cfg, s1, 0, 1)
+        assert (s1, 0) not in cfg._facts.records
         assert oracle.basis_failure(cfg, D, enumerate_standard_monomials(D)) == "vanishing at p1"
         assert not verify_enumerated(cfg, D)
 
@@ -603,9 +645,7 @@ def monomial_basis_failure(cfg, D, mons):
     return None if direct_rank_verdict(cfg, mons) else "rank"
 
 
-def assert_runs_match_the_reference(cfg, D):
-    mons = enumerate_standard_monomials(D)
-    listed = monomial_listing(D)
+def assert_runs_match_the_reference(cfg, D, mons, listed):
     assert tuple(mons) == listed
     assert len(mons) == len(listed)
     # the enumerated runs, then the last monomial replaced by a repeat of
@@ -618,13 +658,9 @@ def test_the_runs_agree_with_the_per_monomial_reference():
     # every effective class with a_i in -1..d, d <= 6, n = 2..4, on the
     # default, pool-A and non-collinear configurations
     classes = 0
-    for cfg in (*integer_path_configs(), *(bent_config(n) for n in (2, 3, 4))):
-        for d in range(0, 7):
-            for a in itertools.product(range(-1, d + 1), repeat=cfg.n):
-                D = DivisorClass(d, a)
-                if picard.is_effective(D):
-                    assert_runs_match_the_reference(cfg, D)
-                    classes += 1
+    for cfg, D, mons, listed in reference_classes(reference_configs()):
+        assert_runs_match_the_reference(cfg, D, mons, listed)
+        classes += 1
     assert classes > 0
 
 
@@ -633,7 +669,7 @@ def test_the_runs_agree_with_the_per_monomial_reference():
 def test_the_runs_agree_with_the_reference_on_random_collinear_configs(case):
     cfg, D = case
     assume(picard.is_effective(D))
-    assert_runs_match_the_reference(cfg, D)
+    assert_runs_match_the_reference(cfg, D, enumerate_standard_monomials(D), monomial_listing(D))
 
 
 @st.composite
