@@ -73,20 +73,12 @@ class _Facts:
     """What the oracle has worked out about one configuration object: one
     plain dict per kind of fact, named after the function that computes it
     (see _stored) and keyed by that function's arguments after cfg.
+    Independence needs no stored fact: it is proved by _runs_certified.
     records holds the vanishing records: (sigma, j) -> the order to which
     the line product of sigma has been verified to vanish at p[j], absent
     while that order is 0."""
 
-    __slots__ = (
-        "line_product",
-        "realized_vector",
-        "records",
-        "run_vanishing",
-        "binary_form",
-        "in_level_block",
-        "full_level_block",
-        "run_in_level_block",
-    )
+    __slots__ = ("line_product", "realized_vector", "records", "run_vanishing")
 
     def __init__(self):
         for kind in self.__slots__:
@@ -107,9 +99,11 @@ class PointConfig:
     leading entry; the oracle computes with these alone.
 
     Each config object has its own store of the facts the oracle works out
-    about it (line products, vanishing records, level-block verdicts), so
-    an equal config built afresh starts with an empty one.  Only h0_rank
-    caches by config value.
+    about it (line products, realized vectors, vanishing records and run
+    vanishing verdicts), so an equal config built afresh starts with an
+    empty one.  Only h0_rank caches by config value.  The independence of
+    the realized forms is proved, not stored: it rests on one exact check
+    of int_lines (_level_blocks_independent).
     """
 
     points: tuple[Point3, ...]
@@ -124,8 +118,8 @@ class PointConfig:
         object.__setattr__(self, "q", _point(self.q))
         if self.t is not None:
             object.__setattr__(self, "t", tuple(_frac(x) for x in self.t))
-        if self.n < 1:
-            raise ValueError("need at least one point")
+        if self.n < 2:
+            raise ValueError(picard.TOO_FEW_POINTS)
         if self.q[1] == 0:
             raise ValueError("q must not lie on the base line {y = 0}")
         q = _primitive(self.q)
@@ -507,89 +501,41 @@ def _run_vanishing(cfg: PointConfig, needs: tuple[int, ...], head: tuple[int, ..
     return None
 
 
-@_stored
-def _binary_form(cfg: PointConfig, sigma: tuple[int, ...]) -> dict:
-    """Product of the integer lines int_lines[i]^sigma[i] at y = 0, as a map
-    from x-exponent to nonzero int: a binary form of degree sum(sigma)."""
-    for i in range(len(sigma) - 1, -1, -1):
-        if sigma[i]:
-            smaller = sigma[:i] + (sigma[i] - 1,) + sigma[i + 1 :]
-            cx, _, cz = cfg.int_lines[i]
-            out = {}
-            for ex, v in _binary_form(cfg, smaller).items():
-                if cx:
-                    out[ex + 1] = out.get(ex + 1, 0) + cx * v
-                if cz:
-                    out[ex] = out.get(ex, 0) + cz * v
-            return {ex: v for ex, v in out.items() if v}
-    return {0: 1}
-
-
-@_stored
-def _in_level_block(cfg: PointConfig, lam: int, sigma: tuple[int, ...]) -> bool:
-    """The support check of the level-block certificate: the realized
-    vector of (lam, sigma) has y-exponent >= lam on its support, and its
-    diagonal row (its columns of y-exponent exactly lam) is the binary form
-    of sigma."""
-    cols = monomials_of_degree(lam + sum(sigma))
-    row = {}
-    for j, c in _realized_vector(cfg, lam, sigma).items():
-        ex, ey, _ = cols[j]
-        if ey < lam:
-            return False
-        if ey == lam:
-            row[ex] = c
-    return row == _binary_form(cfg, sigma)
-
-
-@_stored
-def _full_level_block(cfg: PointConfig, forced: tuple[int, ...], r: int) -> bool:
-    """Whether the binary forms of forced + (s, r - s), s = 0..r, have full
-    rank.  They are the binary forms of every level whose first n - 2
-    exponents are forced and whose last two sum to r, whatever d and lam,
-    so one block serves many classes.  For a valid config they always do:
-    no line through q vanishes on y = 0, since q is off it, and the lines
-    through q and p[n-1], p[n] stay independent there."""
-    rows = [_binary_form(cfg, forced + (s, r - s)) for s in range(r + 1)]
-    return _rank_of_sparse_rows(rows) == len(rows)
-
-
-@_stored
-def _run_in_level_block(cfg: PointConfig, lam: int, head: tuple[int, ...], rest: int, lo: int, hi: int) -> bool:
-    """Whether the level block of (head, rest) has full rank and the
-    vector of every (lam, head + (s, rest - s)), s = lo..hi, passes its
-    support check."""
-    if not _full_level_block(cfg, head, rest):
-        return False
-    for s in range(lo, hi + 1):
-        if not _in_level_block(cfg, lam, head + (s, rest - s)):
-            return False
-    return True
+def _level_blocks_independent(cfg: PointConfig) -> bool:
+    """The hypothesis of the level-block theorem of _runs_certified, checked
+    exactly on the integer lines: no line through q vanishes on y = 0 (cx or
+    cz is nonzero), and the anchors l[n-1], l[n] are not proportional there
+    (ux*vz - uz*vx != 0).  For a valid config both always hold, since q is
+    off y = 0 and the lines through q and p[n-1], p[n] are distinct."""
+    (ux, _, uz), (vx, _, vz) = cfg.int_lines[-2:]
+    return all(cx or cz for cx, _, cz in cfg.int_lines) and ux * vz - uz * vx != 0
 
 
 def _runs_certified(cfg: PointConfig, runs) -> bool:
     """Whether the realized vectors of the monomials of runs, which have
-    passed the degree check of basis_failure, are certified independent by
+    passed the degree check of basis_failure, are proved independent by
     their level blocks.
 
     A vector of level lam is y^lam times a product of lines, so sorted by
     lam the vectors form a block-triangular matrix whose diagonal block at
-    lam holds their diagonal rows.  The certificate asks that every run
-    have the forced head sigma[i] = max(a[i] - lam, 0) for i <= n-2 (with
-    the degree, sigma[i] - epsilon[i] = a[i] - lam, that is: no s[i]e[i]
-    divides the head) and so the rest r = d - lam - sum(head); that every
-    vector pass the support check and lie in a block of full rank; and that
-    runs of the same lam come in ascending, disjoint intervals, so that no
-    vector repeats.  Then every diagonal block of the class has full rank,
-    and so has the whole matrix.
+    lam holds their terms in exactly y^lam.  No run's head may lie in the
+    initial ideal: with the degree, sigma[i] - epsilon[i] = a[i] - lam, that
+    pins the head to sigma[i] = max(a[i] - lam, 0) for i <= n-2, and so the
+    rest r = d - lam - sum(head), the same for every run of that lam.  The
+    diagonal row of (lam, head + (s, r - s)) is then B * u^s * v^(r-s),
+    where B is the product of the head's lines at y = 0 and u, v are the
+    anchor lines l[n-1], l[n] at y = 0.  Runs of one lam must come in
+    ascending, disjoint intervals, so their s are distinct.  When B != 0
+    and u, v are not proportional, the u^s * v^(r-s) are independent binary
+    forms and multiplying by B keeps them so (_level_blocks_independent
+    checks that exactly): every diagonal block has full rank, and so has
+    the whole matrix.
     """
+    if not _level_blocks_independent(cfg):
+        return False
     top = {}  # lam -> the largest s listed so far at that level
-    for lam, head, eps, rest, lo, hi, _, _ in runs:
-        if (
-            coxmono.head_in_initial_ideal(head, eps)
-            or lo <= top.get(lam, -1)
-            or not _run_in_level_block(cfg, lam, head, rest, lo, hi)
-        ):
+    for lam, head, eps, _, lo, hi, _, _ in runs:
+        if coxmono.head_in_initial_ideal(head, eps) or lo <= top.get(lam, -1):
             return False
         top[lam] = hi
     return True
@@ -647,9 +593,13 @@ def basis_failure(cfg: PointConfig, D: DivisorClass, mons) -> str | None:
     a[j] <= d on an effective class, so a record that cannot be raised is a
     form that does not vanish to a[j].  A run's verdict depends only on
     those needs and its sigmas, and is kept in cfg's store of facts
-    (_run_vanishing).  The forms are certified independent by their level
-    blocks (_runs_certified); when they are not, their own exact rank is
-    taken.
+    (_run_vanishing).  Independence is proved, not computed: when every
+    run's head is forced and the runs of each level are disjoint, the
+    y^lam parts of the forms of a level are one nonzero binary form times
+    distinct u^s * v^(r-s), u and v the two anchor lines at y = 0, and
+    those are independent when the anchors' 2x2 determinant is nonzero,
+    which _level_blocks_independent checks exactly (_runs_certified).  When
+    the runs do not fit that proof, their own exact rank is taken.
     """
     if not picard.is_effective(D):
         raise ValueError(f"basis verification needs an effective class, got {D}")

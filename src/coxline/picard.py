@@ -17,6 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# one message for every constructor that takes n points: DivisorClass here,
+# PointConfig in the oracle
+TOO_FEW_POINTS = (
+    "need n >= 2 blown-up points (for a single point the surface "
+    "is toric and its section ring is a free polynomial ring)"
+)
+
 
 @dataclass(frozen=True)
 class DivisorClass:
@@ -29,10 +36,7 @@ class DivisorClass:
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "a", tuple(int(x) for x in self.a))
         if self.n < 2:
-            raise ValueError(
-                "need n >= 2 blown-up points (for a single point the surface "
-                "is toric and its section ring is a free polynomial ring)"
-            )
+            raise ValueError(TOO_FEW_POINTS)
 
     @property
     def n(self) -> int:

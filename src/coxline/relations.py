@@ -169,10 +169,6 @@ def derive_relations(cfg: PointConfig) -> list[Relation]:
     the list is empty.
     """
     n = cfg.n
-    if n < 2:
-        raise ValueError("unsupported: need at least two points")
-    if n == 2:
-        return []
     lines = [_monic_line(line) for line in cfg.int_lines]
     out = []
     for i in range(1, n - 1):
@@ -204,30 +200,39 @@ def normal_form(p: GradedPolynomial, rels) -> GradedPolynomial:
     The largest remaining term (graded lex) is divided by the first g[i],
     in the order of rels, whose leading monomial divides it; a term that
     none divides goes to the remainder.  Each g[i] is the one polynomial
-    its Relation holds, monic in its leading term s[i]e[i].
+    its Relation holds, monic in its leading term s[i]e[i], so the term's
+    own exponents name the g[i] that can divide it: the i <= n-2 with
+    sigma[i] > 0 and epsilon[i] > 0.
     """
-    gens = [(g, g.leading_monomial()) for g in (r.polynomial() for r in rels)]
+    # i - 1 -> (position in rels, g[i], its leading monomial), for the first
+    # relation of each index in the order of rels
+    gens = {}
+    for pos, r in enumerate(rels):
+        if r.i - 1 not in gens:
+            g = r.polynomial()
+            gens[r.i - 1] = (pos, g, g.leading_monomial())
     work = dict(p.terms)
     remainder = {}
     while work:
         m = max(work, key=_grlex_key)
         c = work.pop(m)
-        for g, lm in gens:
-            if lm.divides(m):
-                quot = m // lm
-                # g is monic in its leading term, which cancels the popped one
-                for gm, gc in g.terms.items():
-                    if gm == lm:
-                        continue
-                    key = quot * gm
-                    val = work.get(key, Fraction(0)) - c * gc
-                    if val:
-                        work[key] = val
-                    else:
-                        work.pop(key, None)
-                break
-        else:
+        sigma, eps = m.sigma, m.epsilon
+        divisors = [gens[i] for i in range(len(sigma) - 2) if sigma[i] and eps[i] and i in gens]
+        if not divisors:
             remainder[m] = c
+            continue
+        _, g, lm = min(divisors, key=lambda entry: entry[0])
+        quot = m // lm
+        # g is monic in its leading term, which cancels the popped one
+        for gm, gc in g.terms.items():
+            if gm == lm:
+                continue
+            key = quot * gm
+            val = work.get(key, Fraction(0)) - c * gc
+            if val:
+                work[key] = val
+            else:
+                work.pop(key, None)
     return GradedPolynomial(remainder)
 
 

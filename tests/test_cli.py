@@ -259,6 +259,21 @@ def test_coincident_points_are_not_called_collinear(tmp_path):
         PointConfig.explicit([(1, 0, 1), (2, 0, 2)], q=(0, 1, 0))
 
 
+def test_fewer_than_two_points_is_a_config_error(capsys, tmp_path):
+    # every command that builds a configuration rejects n < 2 with one
+    # message, whether n comes from --n, --n-list or a config file
+    cfgfile = tmp_path / "one.cfg"
+    cfgfile.write_text("t = 0\n")
+    for source in (["--n", "1"], ["--n", "0"], ["--config", str(cfgfile)]):
+        for command in (["relations"], ["verify", "--dmax", "1"], ["h0", "1", "0"]):
+            code, out, err = run_cli(capsys, *source, *command)
+            assert code == 2, (source, command)
+            assert out == ""
+            assert err.startswith("error: need n >= 2 blown-up points"), err
+    code, _, err = run_cli(capsys, "verify", "--n-list", "3,1")
+    assert code == 2 and err.startswith("error: need n >= 2")
+
+
 def test_missing_config_file(capsys):
     code, _, err = run_cli(capsys, "--config", "/nonexistent/x.cfg", "relations")
     assert code == 2

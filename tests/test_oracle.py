@@ -72,6 +72,11 @@ def test_config_rejects_degenerate_data():
     with pytest.raises(ValueError):
         # p2 on the line through q and p1
         PointConfig.explicit([(0, 0, 1), (0, 1, 2)], q=(0, 1, 1))
+    # the section ring of one point is out of scope, and so are no points
+    for make in (lambda: PointConfig.default(1), lambda: PointConfig.default(0),
+                 lambda: PointConfig.collinear((5,)), lambda: PointConfig.explicit([(0, 1, 1)], q=(0, 1, 0))):
+        with pytest.raises(ValueError, match="n >= 2"):
+            make()
 
 
 def line_form(cfg, i):
@@ -398,6 +403,29 @@ def test_integer_rows_have_the_rank_of_the_fraction_rows():
 CFG4_POOL_A = pool_a_config(4)
 
 
+def test_h0_rank_agrees_with_sympy_over_QQ():
+    # the interpolation matrices of a few nef and non-nef classes, d <= 6,
+    # ranked by sympy's elimination over the field QQ; Matrix.rank, which
+    # does not reduce fractions, has run for minutes on one such class
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    classes = {
+        3: ((6, (2, 2, 2)), (5, (3, 1, 1)), (4, (1, 1, 1)), (6, (5, 3, 0)), (5, (4, 4, 2)), (2, (4, 0, 1)), (6, (7, 2, 0))),
+        4: ((6, (2, 1, 1, 1)), (4, (1, 1, 1, 0)), (6, (4, 3, 2, 0)), (5, (3, 3, 1, 1)), (3, (4, 2, 0, 0))),
+    }
+    for n, cases in classes.items():
+        for cfg in (PointConfig.default(n), pool_a_config(n)):
+            for d, a in cases:
+                D = DivisorClass(d, a)
+                rows = constraint_rows(cfg, D)
+                ncols = len(monomials_of_degree(d))
+                sparse = {i: {j: QQ(c) for j, c in row.items()} for i, row in enumerate(rows) if row}
+                rank = DomainMatrix(sparse, (len(rows), ncols), QQ).rank() if sparse else 0
+                assert ncols - rank == h0_rank(cfg, D), (cfg, D)
+
+
 def test_a_repeated_monomial_is_caught_by_the_rank():
     # one monomial replaced by a repeat of another: degree, vanishing and
     # count still pass, so only the independence check can reject it
@@ -461,50 +489,115 @@ def test_family_certificate_agrees_with_the_direct_rank():
     assert certified == classes > 0
 
 
-def plant_deficient_blocks(monkeypatch):
-    """Every level block with r = 1 reads as deficient."""
-    real_block = oracle._full_level_block
-    monkeypatch.setattr(oracle, "_full_level_block", lambda cfg, forced, r: r != 1 and real_block(cfg, forced, r))
-
-
 def test_facts_belong_to_one_config_object(monkeypatch):
-    # a verdict learnt under a planted deficient block stays with the config
-    # object it was learnt on: an equal config built afresh works out its own
-    runs = enumerate_standard_monomials(DivisorClass(4, (2, 1, 1))).runs
+    # a vanishing verdict learnt under a planted fault in the dot check
+    # stays with the config object it was learnt on: an equal config built
+    # afresh works out its own
+    D = DivisorClass(4, (2, 1, 1))
+    mons = enumerate_standard_monomials(D)
     planted = PointConfig.default(3)
     with monkeypatch.context() as patch:
-        plant_deficient_blocks(patch)
-        assert not oracle._runs_certified(planted, runs)
+        patch.setattr(oracle, "_sparse_dot", lambda u, v: 1)
+        assert oracle.basis_failure(planted, D, mons) == "vanishing at p1"
     fresh = PointConfig.default(3)
     assert fresh == planted and hash(fresh) == hash(planted)
-    assert oracle._runs_certified(fresh, runs)
-    assert not oracle._runs_certified(planted, runs)
+    assert oracle.basis_failure(fresh, D, mons) is None
+    assert oracle.basis_failure(planted, D, mons) == "vanishing at p1"
 
 
 def test_a_deficient_level_block_falls_back_to_the_direct_rank(monkeypatch):
-    # a planted deficient block: the certificate fails, so the verdict must
-    # come from the class's own rank, which is full; the configs are built
-    # afresh, so that the verdicts learnt under the fault stay with them
-    plant_deficient_blocks(monkeypatch)
-    for cfg, D in ((PointConfig.default(3), DivisorClass(4, (2, 1, 1))), (pool_a_config(4), DivisorClass(4, (1, 1, 1, 0)))):
+    # the block hypothesis planted as failing: the certificate fails, so the
+    # verdict must come from the class's own rank, which is full
+    monkeypatch.setattr(oracle, "_level_blocks_independent", lambda cfg: False)
+    for cfg, D in ((CFG3, DivisorClass(4, (2, 1, 1))), (CFG4_POOL_A, DivisorClass(4, (1, 1, 1, 0)))):
         mons = enumerate_standard_monomials(D)
         assert not oracle._runs_certified(cfg, mons.runs)
         assert direct_rank_verdict(cfg, mons)
         assert verify_basis_independence(cfg, D, mons)
-        assert not verify_basis_independence(cfg, D, mons[:-1] + mons[:1])
+        assert oracle.basis_failure(cfg, D, mons[:-1] + mons[:1]) == "rank"
 
 
-def test_the_support_check_rejects_a_vector_off_its_level(monkeypatch):
-    # a vector with a column below y^lam, or whose y^lam part is not the
-    # binary form of sigma, is not a member of a level block; each planted
-    # vector is checked on a config built afresh
-    lam, sigma = 1, (1, 0, 1)
-    vec = oracle._realized_vector(CFG3, lam, sigma)
-    assert oracle._in_level_block(CFG3, lam, sigma)
-    index = oracle._column_index(3)
-    for col in (index[2, 0, 1], index[2, 1, 0]):  # y-exponent 0, then lam
-        monkeypatch.setattr(oracle, "_realized_vector", lambda cfg, l, s, col=col: {**vec, col: vec.get(col, 0) + 1})
-        assert not oracle._in_level_block(PointConfig.default(3), lam, sigma)
+def planted_lines(n, lines):
+    """A config built afresh whose lines through q are replaced by lines,
+    before the oracle has worked out anything about it."""
+    cfg = PointConfig.default(n)
+    object.__setattr__(cfg, "int_lines", lines)
+    return cfg
+
+
+def test_a_config_that_breaks_the_block_hypothesis_falls_back_to_the_rank():
+    # planted lines that break one hypothesis each, on a class where the
+    # forms then repeat: the anchors l2 = l3 agree at y = 0, or l1 = y
+    # vanishes there.  The vanishing and count checks pass, so only the
+    # hypothesis check keeps the certificate from passing a dependent set.
+    cases = (
+        (((1, 0, 0), (1, 0, -1), (1, 0, -1)), DivisorClass(2, (0, 0, 0))),
+        (((0, 1, 0), (1, 0, -1), (1, 0, -2)), DivisorClass(2, (1, 0, 0))),
+    )
+    for lines, D in cases:
+        cfg = planted_lines(3, lines)
+        mons = enumerate_standard_monomials(D)
+        assert not oracle._level_blocks_independent(cfg)
+        assert not oracle._runs_certified(cfg, mons.runs)
+        vectors = [oracle._realized_vector(cfg, m.lam, m.sigma) for m in mons]
+        assert oracle._rank_of_sparse_rows(vectors) < len(vectors)
+        assert oracle.basis_failure(cfg, D, mons) == "rank"
+    for cfg in (*reference_configs(), CFG3_ALT):
+        assert oracle._level_blocks_independent(cfg)
+
+
+def test_a_head_in_the_initial_ideal_is_not_certified():
+    # planted l1 = l2: no line vanishes at y = 0 and the anchors stay
+    # independent, so the hypothesis holds and the standard monomials of L
+    # are certified.  s1*e1 in place of s3*e3 keeps degree, count and the
+    # runs' disjoint s, but repeats the form of s2*e2; only the check that
+    # every head is forced keeps that set from the certificate.
+    cfg = planted_lines(3, ((1, 0, -1), (1, 0, -1), (1, 0, -2)))
+    D = DivisorClass(1, (0, 0, 0))
+    mons = enumerate_standard_monomials(D)
+    assert oracle._level_blocks_independent(cfg)
+    assert oracle.basis_failure(cfg, D, mons) is None
+    s1e1 = CoxMonomial.gen_s(3, 1) * CoxMonomial.gen_e(3, 1)
+    swapped = [s1e1 if m.sigma == (0, 0, 1) else m for m in mons]
+    assert in_initial_ideal(s1e1) and len(swapped) == len(mons)
+    assert not oracle._runs_certified(cfg, [coxmono.StandardRun.of(m) for m in swapped])
+    assert oracle.basis_failure(cfg, D, swapped) == "rank"
+
+
+@lru_cache(maxsize=None)
+def binary_line_product(cfg, sigma):
+    """prod(int_lines[i]^sigma[i]) at y = 0, as a map from x-exponent to
+    nonzero int, multiplied out one line at a time from the first."""
+    if not any(sigma):
+        return {0: 1}
+    i = next(i for i, s in enumerate(sigma) if s)
+    cx, _, cz = cfg.int_lines[i]
+    out = {}
+    for ex, v in binary_line_product(cfg, sigma[:i] + (sigma[i] - 1,) + sigma[i + 1 :]).items():
+        out[ex + 1] = out.get(ex + 1, 0) + cx * v
+        out[ex] = out.get(ex, 0) + cz * v
+    return {ex: v for ex, v in out.items() if v}
+
+
+def test_realized_vectors_lie_in_their_level_blocks():
+    # what the certificate proves from: every realized vector of level lam
+    # has y-exponent >= lam on its support, its y^lam part is the product of
+    # its lines at y = 0, and the diagonal block of every level, the binary
+    # forms of head + (s, r - s) for s = 0..r, has full rank
+    for cfg in reference_configs():
+        keys = {(m.lam, m.sigma) for _, _, listed in effective_classes(cfg.n) for m in listed}
+        blocks = set()
+        for lam, sigma in keys:
+            cols = monomials_of_degree(lam + sum(sigma))
+            vec = oracle._realized_vector(cfg, lam, sigma)
+            assert all(cols[j][1] >= lam for j in vec), (cfg, lam, sigma)
+            diagonal = {cols[j][0]: c for j, c in vec.items() if cols[j][1] == lam}
+            assert diagonal == binary_line_product(cfg, sigma), (cfg, lam, sigma)
+            blocks.add((sigma[:-2], sigma[-2] + sigma[-1]))
+        for head, r in blocks:
+            rows = [binary_line_product(cfg, head + (s, r - s)) for s in range(r + 1)]
+            width = sum(head) + r + 1
+            assert dense_rank(densify(rows, width)) == r + 1, (cfg, head, r)
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
