@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm
+from operator import mul
 
 from . import coxmono, picard
 from .picard import DivisorClass
@@ -72,13 +73,12 @@ def _lead(v: IntVec3) -> int:
 class _Facts:
     """What the oracle has worked out about one configuration object: one
     plain dict per kind of fact, named after the function that computes it
-    (see _stored) and keyed by that function's arguments after cfg.
-    Independence needs no stored fact: it is proved by _runs_certified.
-    records holds the vanishing records: (sigma, j) -> the order to which
-    the line product of sigma has been verified to vanish at p[j], absent
-    while that order is 0."""
+    (see _stored) and keyed by that function's arguments after cfg.  Both
+    kinds serve realize_monomial and the fallback rank; vanishing is read
+    off cfg.incidence and independence is proved by _runs_certified, so
+    neither needs a stored fact."""
 
-    __slots__ = ("line_product", "realized_vector", "records", "run_vanishing")
+    __slots__ = ("line_product", "realized_vector")
 
     def __init__(self):
         for kind in self.__slots__:
@@ -98,12 +98,18 @@ class PointConfig:
     each point, scaled to primitive integer coordinates with a positive
     leading entry; the oracle computes with these alone.
 
+    incidence holds 0/1 bits from exact integer dot products: row 0 is the
+    base line y = 0 and row i + 1 is int_lines[i]; column j is int_points[j],
+    and a bit is 1 when that line passes through that point.  Multiplicity
+    is additive over the factors of a product of plane forms, so y^lam *
+    prod(l[i]^sigma[i]) vanishes at p[j] to order exactly
+    lam * incidence[0][j] + sum(sigma[i] * incidence[i + 1][j]).
+
     Each config object has its own store of the facts the oracle works out
-    about it (line products, realized vectors, vanishing records and run
-    vanishing verdicts), so an equal config built afresh starts with an
-    empty one.  Only h0_rank caches by config value.  The independence of
-    the realized forms is proved, not stored: it rests on one exact check
-    of int_lines (_level_blocks_independent).
+    about it (line products and realized vectors), so an equal config built
+    afresh starts with an empty one.  Only h0_rank caches by config value.
+    The independence of the realized forms is proved, not stored: it rests
+    on one exact check of int_lines (_level_blocks_independent).
     """
 
     points: tuple[Point3, ...]
@@ -111,6 +117,7 @@ class PointConfig:
     t: tuple[Fraction, ...] | None = None
     int_points: tuple[IntVec3, ...] = field(init=False, repr=False, compare=False)
     int_lines: tuple[IntVec3, ...] = field(init=False, repr=False, compare=False)
+    incidence: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _facts: _Facts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -139,7 +146,13 @@ class PointConfig:
                         "the lines through q would not separate the points"
                     )
         object.__setattr__(self, "int_points", points)
-        object.__setattr__(self, "int_lines", tuple(_primitive(_cross(q, p)) for p in points))
+        lines = tuple(_primitive(_cross(q, p)) for p in points)
+        object.__setattr__(self, "int_lines", lines)
+        incidence = tuple(
+            tuple([0 if lx * px + ly * py + lz * pz else 1 for px, py, pz in points])
+            for lx, ly, lz in ((0, 1, 0), *lines)
+        )
+        object.__setattr__(self, "incidence", incidence)
         object.__setattr__(self, "_facts", _Facts())
         # h0_rank's cache is keyed by the config: hash its Fractions once,
         # not on every lookup
@@ -469,38 +482,6 @@ def _realized_vector(cfg: PointConfig, lam: int, sigma: tuple[int, ...]) -> dict
     return {index[ex, ey + lam, ez]: c for (ex, ey, ez), c in _line_product(cfg, sigma).items()}
 
 
-def _raise_record(cfg: PointConfig, sigma: tuple[int, ...], j: int, order: int) -> bool:
-    """Raise the vanishing record of sigma at p[j] to order when the exact
-    dot check of the line product against the rows of order-`order`
-    vanishing there holds, and say whether it does.  Those rows imply every
-    lower order only up to the degree sum(sigma); a nonzero form of that
-    degree vanishes to no higher order, so a larger order fails."""
-    s = sum(sigma)
-    if order > s:
-        return False
-    vec = _realized_vector(cfg, 0, sigma)
-    for row in _point_rows(cfg.int_points[j], s, order):
-        if _sparse_dot(row, vec):
-            return False
-    cfg._facts.records[sigma, j] = order
-    return True
-
-
-@_stored
-def _run_vanishing(cfg: PointConfig, needs: tuple[int, ...], head: tuple[int, ...], rest: int, lo: int, hi: int) -> str | None:
-    """The first failure, walking s = lo..hi and then j, of the line product
-    of head + (s, rest - s) to vanish at p[j] to order needs[j], named as
-    "vanishing at p<j>", or None.  It reads and raises the vanishing
-    records."""
-    records = cfg._facts.records
-    for s in range(lo, hi + 1):
-        sigma = head + (s, rest - s)
-        for j, need in enumerate(needs):
-            if need > records.get((sigma, j), 0) and not _raise_record(cfg, sigma, j, need):
-                return f"vanishing at p{j + 1}"
-    return None
-
-
 def _level_blocks_independent(cfg: PointConfig) -> bool:
     """The hypothesis of the level-block theorem of _runs_certified, checked
     exactly on the integer lines: no line through q vanishes on y = 0 (cx or
@@ -579,27 +560,27 @@ def basis_failure(cfg: PointConfig, D: DivisorClass, mons) -> str | None:
     the vanishing constraints; their number must equal the interpolation
     dimension h0_rank(cfg, D); and the forms must be linearly independent.
     Enumeration does not check degrees, so this is the one degree check of
-    enumerated monomials.  The forms are the integer products of the lines,
-    times y^lam as an exponent shift.
+    enumerated monomials.  The forms are y^lam times the integer products
+    of the lines.
 
     Each check is made once per run.  The degree is the same at every s of
     a run, and each exponent is monotone in s, so one degree check and the
-    two ends cover the run.  Vanishing: y vanishes at every point of y = 0,
-    so by the Leibniz rule y^lam * G vanishes there to order lam + ord(G),
-    and elsewhere to order ord(G).  A monomial therefore passes at p[j] when
-    the vanishing record of its sigma reaches a[j] - lam (on y = 0) or a[j]
-    (off it); the record is raised on demand by the exact dot check of the
-    line product.  The order of y^lam * G is exactly that sum, and
-    a[j] <= d on an effective class, so a record that cannot be raised is a
-    form that does not vanish to a[j].  A run's verdict depends only on
-    those needs and its sigmas, and is kept in cfg's store of facts
-    (_run_vanishing).  Independence is proved, not computed: when every
-    run's head is forced and the runs of each level are disjoint, the
-    y^lam parts of the forms of a level are one nonzero binary form times
-    distinct u^s * v^(r-s), u and v the two anchor lines at y = 0, and
-    those are independent when the anchors' 2x2 determinant is nonzero,
-    which _level_blocks_independent checks exactly (_runs_certified).  When
-    the runs do not fit that proof, their own exact rank is taken.
+    two ends cover the run.  Vanishing: multiplicity is additive over the
+    factors of a product (Fulton, Algebraic Curves, ch. 3 section 1), so
+    the form of (lam, sigma) vanishes at p[j] to order exactly
+    lam * incidence[0][j] + sum(sigma[i] * incidence[i + 1][j]) (see
+    PointConfig), and it passes there when that order reaches a[j].  Along a
+    run only sigma[n-1] = s and sigma[n] = rest - s move, so the order is
+    affine in s and reaches a[j] on all of lo..hi when it does at both ends.
+    Only a run with a failing end is walked, s = lo..hi and then j, to name
+    the first failure; no line product is built.  Independence is proved,
+    not computed: when every run's head is forced and the runs of each
+    level are disjoint, the y^lam parts of the forms of a level are one
+    nonzero binary form times distinct u^s * v^(r-s), u and v the two
+    anchor lines at y = 0, and those are independent when the anchors' 2x2
+    determinant is nonzero, which _level_blocks_independent checks exactly
+    (_runs_certified).  When the runs do not fit that proof, their own
+    exact rank is taken.
     """
     if not picard.is_effective(D):
         raise ValueError(f"basis verification needs an effective class, got {D}")
@@ -607,8 +588,15 @@ def basis_failure(cfg: PointConfig, D: DivisorClass, mons) -> str | None:
     runs = mons.runs if isinstance(mons, coxmono.StandardMonomials) else [coxmono.StandardRun.of(m) for m in mons]
     d, a = D.d, D.a
     k, head_a, a_pen, a_last = D.n - 2, a[:-2], a[-2], a[-1]
-    # 1 where p[j] lies on y = 0, tested exactly on the integer point
-    on_base = [int(p[1] == 0) for p in cfg.int_points]
+    # per point p[j] with a[j] > 0, from its incidence bits b0 (y), hb (the
+    # head's lines), u and v (the last two lines): the order there of the
+    # form of (lam, head + (s, rest - s)) is (lam, *head, rest) . col + s * w
+    # with col = (b0, *hb, v) and w = u - v
+    needs = [
+        (j, aj, (b0, *hb, v), u - v)
+        for j, (aj, (b0, *hb, u, v)) in enumerate(zip(a, zip(*cfg.incidence)))
+        if aj > 0
+    ]
     count = 0
     for lam, head, eps, rest, lo, hi, off_pen, off_last in runs:
         # zip would truncate, so the length is compared first; eps then has
@@ -630,10 +618,14 @@ def basis_failure(cfg: PointConfig, D: DivisorClass, mons) -> str | None:
             or (k and min(head + eps) < 0)
         ):
             return "degree"
-        needs = tuple([aj - lam * b if aj > lam * b else 0 for aj, b in zip(a, on_base)])
-        failure = _run_vanishing(cfg, needs, head, rest, lo, hi)
-        if failure is not None:
-            return failure
+        exps = (lam, *head, rest)
+        for _, aj, col, w in needs:
+            order = sum(map(mul, exps, col))
+            if order + lo * w < aj or order + hi * w < aj:
+                first = next(
+                    j for s in range(lo, hi + 1) for j, aj, col, w in needs if sum(map(mul, exps, col)) + s * w < aj
+                )
+                return f"vanishing at p{first + 1}"
         count += hi - lo + 1
     h = h0_rank(cfg, D)
     if count != h:
@@ -646,17 +638,6 @@ def basis_failure(cfg: PointConfig, D: DivisorClass, mons) -> str | None:
         for s in range(lo, hi + 1)
     ]
     return None if _rank_of_sparse_rows(vectors) == len(vectors) else "rank"
-
-
-def _sparse_dot(u: dict, v: dict):
-    if len(u) > len(v):
-        u, v = v, u
-    total = 0
-    for j, c in u.items():
-        w = v.get(j)
-        if w is not None:
-            total += c * w
-    return total
 
 
 def _rank_of_sparse_rows(rows) -> int:

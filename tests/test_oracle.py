@@ -490,19 +490,23 @@ def test_family_certificate_agrees_with_the_direct_rank():
 
 
 def test_facts_belong_to_one_config_object(monkeypatch):
-    # a vanishing verdict learnt under a planted fault in the dot check
+    # a line product learnt under a planted fault, every product negated,
     # stays with the config object it was learnt on: an equal config built
     # afresh works out its own
     D = DivisorClass(4, (2, 1, 1))
-    mons = enumerate_standard_monomials(D)
+    mons = [m for m in enumerate_standard_monomials(D) if any(m.sigma)]
     planted = PointConfig.default(3)
+    real = oracle._line_product
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_sparse_dot", lambda u, v: 1)
-        assert oracle.basis_failure(planted, D, mons) == "vanishing at p1"
+        # the stored products recurse through this name down to sigma = 0
+        patch.setattr(oracle, "_line_product", lambda cfg, sigma: real(cfg, sigma) if any(sigma) else {(0, 0, 0): -1})
+        wrong = [realize_monomial(planted, m) for m in mons]
     fresh = PointConfig.default(3)
     assert fresh == planted and hash(fresh) == hash(planted)
-    assert oracle.basis_failure(fresh, D, mons) is None
-    assert oracle.basis_failure(planted, D, mons) == "vanishing at p1"
+    right = [realize_monomial(fresh, m) for m in mons]
+    assert mons and wrong == [form.scale(-1) for form in right]
+    assert [realize_monomial(planted, m) for m in mons] == wrong
+    assert oracle.basis_failure(fresh, D, enumerate_standard_monomials(D)) is None
 
 
 def test_a_deficient_level_block_falls_back_to_the_direct_rank(monkeypatch):
@@ -519,9 +523,21 @@ def test_a_deficient_level_block_falls_back_to_the_direct_rank(monkeypatch):
 
 def planted_lines(n, lines):
     """A config built afresh whose lines through q are replaced by lines,
-    before the oracle has worked out anything about it."""
+    and its incidence rows of those lines with them, before the oracle has
+    worked out anything about it."""
     cfg = PointConfig.default(n)
     object.__setattr__(cfg, "int_lines", lines)
+    rows = tuple(tuple(int(sum(c * x for c, x in zip(line, p)) == 0) for p in cfg.int_points) for line in lines)
+    object.__setattr__(cfg, "incidence", cfg.incidence[:1] + rows)
+    return cfg
+
+
+def flipped_incidence(cfg, i, j):
+    """cfg, built afresh, with its incidence bit of row i (0 is y = 0, i > 0
+    the line int_lines[i - 1]) at int_points[j] flipped."""
+    rows = [list(row) for row in cfg.incidence]
+    rows[i][j] ^= 1
+    object.__setattr__(cfg, "incidence", tuple(map(tuple, rows)))
     return cfg
 
 
@@ -664,18 +680,30 @@ def bent_config(n):
 @lru_cache(maxsize=None)
 def direct_vanishing(cfg, j, mult, lam, sigma):
     """Exact dot check of the realized form of (lam, sigma) against the
-    scanned rows of order-mult vanishing at p[j]: the per-form check that
-    the vanishing records replaced."""
+    scanned rows of order-mult vanishing at p[j]: the per-form reference
+    for the incidence check of basis_failure."""
     vec = oracle._realized_vector(cfg, lam, sigma)
     rows = scanned_rows(cfg.int_points[j], lam + sum(sigma), mult)
     return all(sum(c * row.get(k, 0) for k, c in vec.items()) == 0 for row in rows)
 
 
-def test_vanishing_records_agree_with_the_direct_check():
-    # the vanishing verdict, from the line-product records, must name the
-    # first point at which the direct check of the realized form fails, for
-    # every monomial of every effective class with a_i in -1..d, d <= 6,
-    # n = 2..4
+def test_incidence_is_the_direct_check_of_each_generator_line():
+    # y and each line through q, checked at every point by the order-1 dot
+    # check of its realized form, on every reference configuration and the
+    # README's rational one
+    readme = PointConfig.collinear((0, Fraction(1, 2), 7), q=(1, 2, 1))
+    for cfg in (*reference_configs(), readme):
+        n = cfg.n
+        generators = [(1, (0,) * n)] + [(0, tuple(int(i == k) for k in range(n))) for i in range(n)]
+        expected = tuple(tuple(int(direct_vanishing(cfg, j, 1, lam, sigma)) for j in range(n)) for lam, sigma in generators)
+        assert cfg.incidence == expected, cfg
+        assert all(row[j] == 1 for j, row in enumerate(cfg.incidence[1:])), cfg
+
+
+def test_vanishing_by_incidence_agrees_with_the_direct_check():
+    # the vanishing verdict, from the incidence table, must name the first
+    # point at which the direct check of the realized form fails, for every
+    # monomial of every effective class with a_i in -1..d, d <= 6, n = 2..4
     failures = 0
     for cfg, D, _, listed in reference_classes(reference_configs()):
         for m in listed:
@@ -688,18 +716,27 @@ def test_vanishing_records_agree_with_the_direct_check():
 
 
 def test_a_line_product_that_misses_its_point_is_rejected(monkeypatch):
-    # s1 moved onto the last line inside every product: the forms no longer
-    # vanish at p1, and the record is not raised; the configs are built
-    # afresh, so that the vectors and verdicts learnt under the fault stay
-    # with them
+    # s1 moved onto the last line inside every product: the direct check
+    # finds that the forms no longer vanish at p1.  The same fault as an
+    # incidence bit, l1 off p1, fails the basis check there.  The configs
+    # are built afresh, so that the vectors learnt under the fault stay with
+    # them; the direct check is taken uncached, since its cache is keyed by
+    # config value
     real = oracle._line_product
-    monkeypatch.setattr(oracle, "_line_product", lambda cfg, sigma: real(cfg, (0,) + sigma[1:-1] + (sigma[-1] + sigma[0],)))
-    for cfg, D in ((PointConfig.default(3), DivisorClass(2, (1, 1, 0))), (pool_a_config(4), DivisorClass(4, (2, 1, 1, 0)))):
-        s1 = (1,) + (0,) * (cfg.n - 1)
-        assert not oracle._raise_record(cfg, s1, 0, 1)
-        assert (s1, 0) not in cfg._facts.records
+    cases = (
+        (PointConfig.default, 3, DivisorClass(2, (1, 1, 0))),
+        (pool_a_config, 4, DivisorClass(4, (2, 1, 1, 0))),
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_line_product", lambda cfg, sigma: real(cfg, (0,) + sigma[1:-1] + (sigma[-1] + sigma[0],)))
+        for build, n, _ in cases:
+            s1 = (1,) + (0,) * (n - 1)
+            assert not direct_vanishing.__wrapped__(build(n), 0, 1, 0, s1)
+    for build, n, D in cases:
+        cfg = flipped_incidence(build(n), 1, 0)
         assert oracle.basis_failure(cfg, D, enumerate_standard_monomials(D)) == "vanishing at p1"
         assert not verify_enumerated(cfg, D)
+        assert verify_enumerated(build(n), D)
 
 
 def monomial_listing(D):

@@ -58,6 +58,16 @@ real = coxmono.StandardRun
 coxmono.StandardRun = lambda lam, sh, eh, rest, lo, hi, *offs: real(lam, sh, eh, rest, lo, hi + 1, *offs)
 sweep_reports("standard monomial count", PointConfig.default(3), 2)
 """,
+    # the incidence bit of l1 at p1 flipped on a fresh default config: the
+    # forms that vanish at p1 only through s1 now fall short there, which
+    # the vanishing check of the basis check catches
+    "incidence bit": """
+cfg = PointConfig.default(3)
+rows = [list(row) for row in cfg.incidence]
+rows[1][0] ^= 1
+object.__setattr__(cfg, "incidence", tuple(map(tuple, rows)))
+sweep_reports("basis independence", cfg, 2)
+""",
     "closed-form level": """
 coxmono.count_at_level = lambda D, lam: -1
 coxmono.count_standard_monomials_closed_form(DivisorClass(2, (1, 1, 0)))

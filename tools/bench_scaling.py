@@ -25,7 +25,10 @@ case that runs past --timeout is recorded as such.  Per case the output
 gives both sides' figures, whether their stdout and exit codes are
 byte-identical, and the parent/change ratio of the in-process time; per
 series it gives the slope of log(time) against log(d), or null when the
-series never reaches FIT_FLOOR_S.  Standard library only.
+series never reaches FIT_FLOOR_S or has fewer than 3 timed points.  The
+`verify` sweep series have 2 points (SWEEP_DMAX), and a fit through two
+single runs moves with one slow run, so they get no slope; compare their
+per-case times instead.  Standard library only.
 """
 
 from __future__ import annotations
@@ -150,10 +153,10 @@ def cases(readme_cfg):
 
 
 def slope(points):
-    """Least-squares slope of log(t) against log(d); None when the largest
-    time is below FIT_FLOOR_S."""
+    """Least-squares slope of log(t) against log(d); None for fewer than 3
+    timed points or when the largest time is below FIT_FLOOR_S."""
     pts = [(math.log(d), math.log(t)) for d, t in points if t and t > 0]
-    if len(pts) < 2 or max(t for _, t in points if t) < FIT_FLOOR_S:
+    if len(pts) < 3 or max(t for _, t in points if t) < FIT_FLOOR_S:
         return None
     mx = sum(x for x, _ in pts) / len(pts)
     my = sum(y for _, y in pts) / len(pts)
