@@ -176,9 +176,9 @@ def _basis_payload(cfg: PointConfig, D: DivisorClass) -> dict:
         return {"divisor": D.to_json(), "h0": 0, "monomials": [], "note": "h0 = 0, empty basis"}
     mons = enumerate_standard_monomials(D)
     entries = []
-    for m in mons:
-        form = oracle.realize_monomial(cfg, m)
-        entries.append({"monomial": m.to_json(), "text": str(m), "form": form.to_json(), "form_text": str(form)})
+    for run in mons.runs:
+        for m, form in zip(run.monomials(), oracle.realize_run(cfg, run)):
+            entries.append({"monomial": m.to_json(), "text": str(m), "form": form.to_json(), "form_text": str(form)})
     return {
         "divisor": D.to_json(),
         "h0": picard.h0(D),

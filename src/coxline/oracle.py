@@ -11,7 +11,9 @@ The points and the lines through q are scaled once to primitive integer
 coordinates.  Projective scaling multiplies each constraint row and each
 realized form by a nonzero constant, which changes neither vanishing nor
 rank, so the whole oracle computes over Z; only the printed forms are
-divided back to lines with leading coefficient 1.
+divided back to lines with leading coefficient 1.  The products of lines
+are built one level run at a time, in the run's order (_run_products),
+and nothing about a configuration is stored beyond h0_rank's cache.
 """
 
 from __future__ import annotations
@@ -70,21 +72,6 @@ def _lead(v: IntVec3) -> int:
     return next(c for c in v if c)
 
 
-class _Facts:
-    """What the oracle has worked out about one configuration object: one
-    plain dict per kind of fact, named after the function that computes it
-    (see _stored) and keyed by that function's arguments after cfg.  Both
-    kinds serve realize_monomial and the fallback rank; vanishing is read
-    off cfg.incidence and independence is proved by _runs_certified, so
-    neither needs a stored fact."""
-
-    __slots__ = ("line_product", "realized_vector")
-
-    def __init__(self):
-        for kind in self.__slots__:
-            setattr(self, kind, {})
-
-
 @dataclass(frozen=True)
 class PointConfig:
     """n points and an auxiliary point q fixing all section forms.
@@ -105,11 +92,11 @@ class PointConfig:
     prod(l[i]^sigma[i]) vanishes at p[j] to order exactly
     lam * incidence[0][j] + sum(sigma[i] * incidence[i + 1][j]).
 
-    Each config object has its own store of the facts the oracle works out
-    about it (line products and realized vectors), so an equal config built
-    afresh starts with an empty one.  Only h0_rank caches by config value.
-    The independence of the realized forms is proved, not stored: it rests
-    on one exact check of int_lines (_level_blocks_independent).
+    A config is an immutable value: the oracle stores nothing on it, and
+    only h0_rank caches by config value.  Realized forms are built run by
+    run when they are asked for (realize_run), and their independence is
+    proved, not stored: it rests on one exact check of int_lines
+    (_level_blocks_independent).
     """
 
     points: tuple[Point3, ...]
@@ -118,7 +105,6 @@ class PointConfig:
     int_points: tuple[IntVec3, ...] = field(init=False, repr=False, compare=False)
     int_lines: tuple[IntVec3, ...] = field(init=False, repr=False, compare=False)
     incidence: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _facts: _Facts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(_point(p) for p in self.points))
@@ -153,7 +139,6 @@ class PointConfig:
             for lx, ly, lz in ((0, 1, 0), *lines)
         )
         object.__setattr__(self, "incidence", incidence)
-        object.__setattr__(self, "_facts", _Facts())
         # h0_rank's cache is keyed by the config: hash its Fractions once,
         # not on every lookup
         object.__setattr__(self, "_hash", hash((self.points, self.q, self.t)))
@@ -230,7 +215,8 @@ def load_config(path) -> PointConfig:
 
 
 class HomogeneousForm:
-    """Sparse homogeneous polynomial in the plane coordinates x, y, z.
+    """Sparse homogeneous polynomial in the plane coordinates x, y, z: the
+    printed value of a realized form.
 
     Stored as a map from exponent triples (summing to the degree) to nonzero
     rational coefficients.
@@ -253,14 +239,6 @@ class HomogeneousForm:
         self.degree = degree
         self.coeffs = clean
 
-    @classmethod
-    def constant(cls, c) -> "HomogeneousForm":
-        return cls(0, {(0, 0, 0): _frac(c)})
-
-    @classmethod
-    def linear(cls, cx, cy, cz) -> "HomogeneousForm":
-        return cls(1, {(1, 0, 0): cx, (0, 1, 0): cy, (0, 0, 1): cz})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -270,47 +248,6 @@ class HomogeneousForm:
             and self.degree == other.degree
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.degree, frozenset(self.coeffs.items())))
-
-    def __add__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degrees")
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return HomogeneousForm(self.degree, out)
-
-    def __sub__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "HomogeneousForm":
-        c = _frac(c)
-        return HomogeneousForm(self.degree, {e: c * v for e, v in self.coeffs.items()})
-
-    def __mul__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return HomogeneousForm(self.degree + other.degree, out)
-
-    def __pow__(self, k: int) -> "HomogeneousForm":
-        if k < 0:
-            raise ValueError("negative power")
-        out = HomogeneousForm.constant(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def evaluate(self, p) -> Fraction:
-        p = _point(p)
-        total = Fraction(0)
-        for (i, j, k), c in self.coeffs.items():
-            total += c * p[0] ** i * p[1] ** j * p[2] ** k
-        return total
 
     def terms_sorted(self):
         """Terms in graded lex order with x > y > z, descending."""
@@ -436,50 +373,68 @@ def h0_rank(cfg: PointConfig, D: DivisorClass) -> int:
     return ncols - _rank_of_sparse_rows(constraint_rows(cfg, D))
 
 
-_UNKNOWN = object()
+def _times_line(form: dict, line: IntVec3) -> dict:
+    """form * line, for a form held as a map from exponent triples to
+    nonzero ints."""
+    cx, cy, cz = line
+    out = {}
+    for (ex, ey, ez), v in form.items():
+        for e, c in (((ex + 1, ey, ez), cx), ((ex, ey + 1, ez), cy), ((ex, ey, ez + 1), cz)):
+            if c:
+                out[e] = out.get(e, 0) + c * v
+    return {e: v for e, v in out.items() if v}
 
 
-def _stored(compute):
-    """compute(cfg, *key), worked out once per configuration object: the
-    value is kept in cfg's store, in the dict named after compute, under
-    key."""
-    kind = compute.__name__.lstrip("_")
+def _over_line(form: dict, line: IntVec3) -> dict:
+    """The exact quotient form / line, by long division in the variable k of
+    line's first nonzero coefficient c: the terms are taken by descending
+    exponent of that variable, each one's share of line * (term / (c * x_k))
+    is subtracted, and what is left at exponent 0 is the remainder.  line is
+    primitive, so by Gauss's lemma an exact quotient over Q has integer
+    coefficients; a remainder, or a coefficient that c does not divide, is
+    an ArithmeticError."""
+    k = next(i for i, c in enumerate(line) if c)
+    lead = line[k]
+    # one unit of exponent moved from variable k to variable i, and line's
+    # coefficient there
+    moves = [(tuple([(j == i) - (j == k) for j in range(3)]), c) for i, c in enumerate(line) if c and i != k]
+    levels = [{} for _ in range(1 + max(e[k] for e in form))]
+    for e, v in form.items():
+        levels[e[k]][e] = v
+    quotient = {}
+    for t in range(len(levels) - 1, 0, -1):
+        below = levels[t - 1]
+        for e, v in levels[t].items():
+            q, r = divmod(v, lead)
+            if r:
+                raise ArithmeticError(f"{line} does not divide a product of lines: remainder {r} at {e}")
+            if q:
+                quotient[e[:k] + (e[k] - 1,) + e[k + 1 :]] = q
+                for (mx, my, mz), c in moves:
+                    g = (e[0] + mx, e[1] + my, e[2] + mz)
+                    below[g] = below.get(g, 0) - c * q
+    left = {e: v for e, v in levels[0].items() if v}
+    if left:
+        raise ArithmeticError(f"{line} does not divide a product of lines: remainder {left}")
+    return quotient
 
-    def lookup(cfg: PointConfig, *key):
-        known = getattr(cfg._facts, kind)
-        value = known.get(key, _UNKNOWN)
-        if value is _UNKNOWN:
-            value = known[key] = compute(cfg, *key)
-        return value
 
-    lookup.__name__, lookup.__doc__ = compute.__name__, compute.__doc__
-    return lookup
-
-
-@_stored
-def _line_product(cfg: PointConfig, sigma: tuple[int, ...]) -> dict:
-    """Product of the integer lines int_lines[i]^sigma[i], as a map from
-    exponent triples to nonzero ints."""
-    for i in range(len(sigma) - 1, -1, -1):
-        if sigma[i]:
-            smaller = sigma[:i] + (sigma[i] - 1,) + sigma[i + 1 :]
-            cx, cy, cz = cfg.int_lines[i]
-            out = {}
-            for (ex, ey, ez), v in _line_product(cfg, smaller).items():
-                for e, c in (((ex + 1, ey, ez), cx), ((ex, ey + 1, ez), cy), ((ex, ey, ez + 1), cz)):
-                    if c:
-                        out[e] = out.get(e, 0) + c * v
-            return {e: v for e, v in out.items() if v}
-    return {(0, 0, 0): 1}
-
-
-@_stored
-def _realized_vector(cfg: PointConfig, lam: int, sigma: tuple[int, ...]) -> dict:
-    """Column -> int coefficient of y^lam * prod(int_lines[i]^sigma[i]) in
-    degree lam + sum(sigma), a nonzero multiple of the realized form of
-    every monomial with this (lam, sigma)."""
-    index = _column_index(lam + sum(sigma))
-    return {index[ex, ey + lam, ez]: c for (ex, ey, ez), c in _line_product(cfg, sigma).items()}
+def _run_products(cfg: PointConfig, head: tuple[int, ...], rest: int, lo: int, hi: int):
+    """The integer products H * u^s * v^(rest - s) for s = lo..hi, in that
+    order, as maps from exponent triples to nonzero ints: H is the product
+    of int_lines[i]^head[i] and u, v are the last two lines.  The product
+    at s = lo is multiplied out one line at a time, and each next one is the
+    last times u, divided exactly by v (_over_line): one multiplication and
+    one division per s, with no product kept beyond the next step."""
+    *head_lines, u, v = cfg.int_lines
+    product = {(0, 0, 0): 1}
+    for line, k in (*zip(head_lines, head), (u, lo), (v, rest - lo)):
+        for _ in range(k):
+            product = _times_line(product, line)
+    yield product
+    for _ in range(lo, hi):
+        product = _over_line(_times_line(product, u), v)
+        yield product
 
 
 def _level_blocks_independent(cfg: PointConfig) -> bool:
@@ -522,23 +477,34 @@ def _runs_certified(cfg: PointConfig, runs) -> bool:
     return True
 
 
-def realize_monomial(cfg: PointConfig, m: coxmono.CoxMonomial) -> HomogeneousForm:
-    """Plane form of a monomial: ly^lam times the product of the li^sigma[i],
-    with each line li scaled to leading coefficient 1.
+def realize_run(cfg: PointConfig, run: coxmono.StandardRun):
+    """The realized forms of the monomials of a level run, s = lo..hi in
+    that order: y^lam times the product of the lines l[i]^sigma[i], with
+    each line scaled to leading coefficient 1.  Each form is its integer
+    product from _run_products divided by prod(lead[i]^sigma[i]), lead[i]
+    the leading coefficient of int_lines[i].
 
     The e-exponents contribute no plane factor; they only shift the target
-    multiplicities, so the result vanishes at p[i] to order >= lam + sigma[i].
+    multiplicities, so a form vanishes at p[i] to order >= lam + sigma[i].
     """
+    lam, head, _, rest, lo, hi, _, _ = run
+    *head_lines, u, v = cfg.int_lines
+    head_den = 1
+    for line, k in zip(head_lines, head):
+        head_den *= _lead(line) ** k
+    for s, product in zip(range(lo, hi + 1), _run_products(cfg, head, rest, lo, hi)):
+        den = head_den * _lead(u) ** s * _lead(v) ** (rest - s)
+        yield HomogeneousForm(
+            lam + sum(head) + rest,
+            {(ex, ey + lam, ez): Fraction(c, den) for (ex, ey, ez), c in product.items()},
+        )
+
+
+def realize_monomial(cfg: PointConfig, m: coxmono.CoxMonomial) -> HomogeneousForm:
+    """Plane form of a monomial: its run of length one, realized."""
     if cfg.n != m.n:
         raise ValueError(f"config has {cfg.n} points but monomial has n = {m.n}")
-    den = 1
-    for line, s in zip(cfg.int_lines, m.sigma):
-        den *= _lead(line) ** s
-    lam = m.lam
-    return HomogeneousForm(
-        lam + sum(m.sigma),
-        {(ex, ey + lam, ez): Fraction(c, den) for (ex, ey, ez), c in _line_product(cfg, m.sigma).items()},
-    )
+    return next(realize_run(cfg, coxmono.StandardRun.of(m)))
 
 
 def verify_basis_independence(cfg: PointConfig, D: DivisorClass, mons) -> bool:
@@ -561,7 +527,7 @@ def basis_failure(cfg: PointConfig, D: DivisorClass, mons) -> str | None:
     dimension h0_rank(cfg, D); and the forms must be linearly independent.
     Enumeration does not check degrees, so this is the one degree check of
     enumerated monomials.  The forms are y^lam times the integer products
-    of the lines.
+    of the lines, which are built only for the fallback rank below.
 
     Each check is made once per run.  The degree is the same at every s of
     a run, and each exponent is monotone in s, so one degree check and the
@@ -580,7 +546,8 @@ def basis_failure(cfg: PointConfig, D: DivisorClass, mons) -> str | None:
     anchor lines at y = 0, and those are independent when the anchors' 2x2
     determinant is nonzero, which _level_blocks_independent checks exactly
     (_runs_certified).  When the runs do not fit that proof, their own
-    exact rank is taken.
+    exact rank is taken, over their products built run by run
+    (_run_products).
     """
     if not picard.is_effective(D):
         raise ValueError(f"basis verification needs an effective class, got {D}")
@@ -632,10 +599,11 @@ def basis_failure(cfg: PointConfig, D: DivisorClass, mons) -> str | None:
         return f"count {count} != h0_rank {h}"
     if _runs_certified(cfg, runs):
         return None
+    index = _column_index(d)
     vectors = [
-        _realized_vector(cfg, lam, head + (s, rest - s))
+        {index[ex, ey + lam, ez]: c for (ex, ey, ez), c in product.items()}
         for lam, head, _, rest, lo, hi, _, _ in runs
-        for s in range(lo, hi + 1)
+        for product in _run_products(cfg, head, rest, lo, hi)
     ]
     return None if _rank_of_sparse_rows(vectors) == len(vectors) else "rank"
 

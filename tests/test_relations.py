@@ -14,7 +14,7 @@ from coxline.coxmono import (
     enumerate_standard_monomials,
     in_initial_ideal,
 )
-from coxline.oracle import HomogeneousForm, PointConfig, _rank_of_sparse_rows
+from coxline.oracle import PointConfig, _rank_of_sparse_rows
 from coxline.picard import DivisorClass, is_nef
 from coxline.relations import (
     GradedPolynomial,
@@ -26,6 +26,7 @@ from coxline.relations import (
     spoly_reduce,
     verify_relation_geometrically,
 )
+from plane_forms import Form
 
 
 def mono_se(n, i):
@@ -228,14 +229,14 @@ def rational_configs(draw):
 
 
 def reference_relations(cfg):
-    """(i, a, b) from HomogeneousForm lines through cfg.q and cfg.points,
+    """(i, a, b) from Fraction lines through cfg.q and cfg.points,
     each scaled to leading coefficient 1: l[i] + a*l[n-1] + b*l[n] vanishes
     at p[n], where l[n-1] does not and l[n] does, which gives a, and
     likewise at p[n-1], which gives b."""
     q = cfg.q
     lines = []
     for p in cfg.points:
-        line = HomogeneousForm.linear(
+        line = Form.linear(
             q[1] * p[2] - q[2] * p[1], q[2] * p[0] - q[0] * p[2], q[0] * p[1] - q[1] * p[0]
         )
         lines.append(line.scale(1 / line.terms_sorted()[0][1]))

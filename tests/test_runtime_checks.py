@@ -68,6 +68,21 @@ rows[1][0] ^= 1
 object.__setattr__(cfg, "incidence", tuple(map(tuple, rows)))
 sweep_reports("basis independence", cfg, 2)
 """,
+    # one coefficient of every line product off by 1: each step of a level
+    # run multiplies by l[n-1] and divides exactly by l[n], which the
+    # perturbed product no longer allows.  Dividing by l[n-1] instead would
+    # not do as a fault here: it divides the product exactly, and its
+    # wrong forms leave no remainder to report
+    "run division": """
+from coxline import cli, oracle
+real = oracle._times_line
+def perturbed(form, line):
+    out = real(form, line)
+    out[next(iter(out))] += 1
+    return out
+oracle._times_line = perturbed
+cli._basis_payload(PointConfig.default(3), DivisorClass(2, (0, 0, 0)))
+""",
     "closed-form level": """
 coxmono.count_at_level = lambda D, lam: -1
 coxmono.count_standard_monomials_closed_form(DivisorClass(2, (1, 1, 0)))

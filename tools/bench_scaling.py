@@ -18,9 +18,11 @@ The child process wraps a few of coxline's functions in timers and reports,
 per stage, the calls and the self time (time inside the function minus the
 wrapped functions it calls): picard.h0, picard.strip_base_components,
 coxmono.enumerate_standard_monomials, coxmono.count_standard_monomials_closed_form,
-oracle.constraint_rows, oracle.h0_rank, oracle.realize_monomial,
-oracle.verify_basis_independence and oracle._rank_of_sparse_rows, whose
-inputs' largest matrix and coefficient bit length are recorded too.  A
+oracle.constraint_rows, oracle.h0_rank, oracle.realize_run (or, in a
+checkout without it, oracle.realize_monomial), oracle.verify_basis_independence
+and oracle._rank_of_sparse_rows, whose inputs' largest matrix and
+coefficient bit length are recorded too.  A generator such as realize_run
+is timed over each of its steps, and counts one call per value it yields.  A
 case that runs past --timeout is recorded as such.  Per case the output
 gives both sides' figures, whether their stdout and exit codes are
 byte-identical, and the parent/change ratio of the in-process time; per
@@ -56,7 +58,7 @@ SWEEP_DMAX = (12, 16)
 FIT_FLOOR_S = 0.1
 
 CHILD = r"""
-import io, json, sys, time
+import inspect, io, json, sys, time
 from contextlib import redirect_stdout
 from coxline import cli, coxmono, oracle, picard
 
@@ -67,7 +69,7 @@ STAGES = {
     "coxmono.closed_form": (coxmono, "count_standard_monomials_closed_form"),
     "oracle.constraint_rows": (oracle, "constraint_rows"),
     "oracle.h0_rank": (oracle, "h0_rank"),
-    "oracle.realize": (oracle, "realize_monomial"),
+    "oracle.realize": (oracle, "realize_run" if hasattr(oracle, "realize_run") else "realize_monomial"),
     "oracle.basis_verify": (oracle, "verify_basis_independence"),
     "oracle.rank": (oracle, "_rank_of_sparse_rows"),
 }
@@ -76,7 +78,28 @@ rank = {"max_rows": 0, "max_cols": 0, "max_input_bits": 0}
 stack = [0.0]  # time spent in wrapped callees of each open frame
 
 
+def settle(name, t0):
+    spent = time.perf_counter() - t0
+    inner = stack.pop()
+    stats[name]["self_s"] += spent - inner
+    stack[-1] += spent
+
+
 def wrap(name, fn):
+    def timed_steps(*args, **kwargs):
+        steps = fn(*args, **kwargs)
+        while True:
+            stack.append(0.0)
+            t0 = time.perf_counter()
+            try:
+                value = next(steps)
+            except StopIteration:
+                return
+            finally:
+                settle(name, t0)
+            stats[name]["calls"] += 1
+            yield value
+
     def timed(*args, **kwargs):
         if name == "oracle.rank":
             rows = list(args[0])
@@ -93,12 +116,9 @@ def wrap(name, fn):
         try:
             return fn(*args, **kwargs)
         finally:
-            spent = time.perf_counter() - t0
-            inner = stack.pop()
             stats[name]["calls"] += 1
-            stats[name]["self_s"] += spent - inner
-            stack[-1] += spent
-    return timed
+            settle(name, t0)
+    return timed_steps if inspect.isgeneratorfunction(fn) else timed
 
 
 def install():
