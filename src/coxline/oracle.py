@@ -7,13 +7,13 @@ are then degree-d plane forms with multiplicity >= a[i] at p[i], so every
 dimension claim can be settled by the exact rank of a constraint matrix,
 independently of any cone or counting formula.
 
-The points and the lines through q are scaled once to primitive integer
-coordinates.  Projective scaling multiplies each constraint row and each
-realized form by a nonzero constant, which changes neither vanishing nor
-rank, so the whole oracle computes over Z; only the printed forms are
-divided back to lines with leading coefficient 1.  The products of lines
-are built one level run at a time, in the run's order (_run_products),
-and nothing about a configuration is stored beyond h0_rank's cache.
+The points, q and the lines through q are scaled once to primitive
+integer coordinates, which a configuration is checked and compared by.
+Projective scaling multiplies each constraint row and each realized form
+by a nonzero constant, which changes neither vanishing nor rank, so the
+whole oracle computes over Z; only the printed forms are divided back to
+lines with leading coefficient 1.  Products of lines are built one level
+run at a time (_run_products); nothing is stored beyond h0_rank's cache.
 """
 
 from __future__ import annotations
@@ -42,15 +42,7 @@ def _point(p) -> Point3:
     return p
 
 
-def _det3(p, q, r) -> Fraction:
-    return (
-        p[0] * (q[1] * r[2] - q[2] * r[1])
-        - p[1] * (q[0] * r[2] - q[2] * r[0])
-        + p[2] * (q[0] * r[1] - q[1] * r[0])
-    )
-
-
-def _cross(p, q) -> Point3:
+def _cross(p, q) -> IntVec3:
     return (
         p[1] * q[2] - p[2] * q[1],
         p[2] * q[0] - p[0] * q[2],
@@ -59,9 +51,10 @@ def _cross(p, q) -> Point3:
 
 
 def _primitive(v) -> IntVec3:
-    """A nonzero rational triple scaled to coprime integers, leading entry > 0."""
-    den = lcm(*(_frac(x).denominator for x in v))
-    ints = [int(x * den) for x in v]
+    """A nonzero int or Fraction triple scaled to coprime integers, leading
+    entry > 0: the one such representative of its projective point."""
+    den = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
     g = gcd(*ints)
     if next(c for c in ints if c) < 0:
         g = -g
@@ -76,14 +69,15 @@ def _lead(v: IntVec3) -> int:
 class PointConfig:
     """n points and an auxiliary point q fixing all section forms.
 
-    points holds full projective coordinates.  t is kept when the standard
-    collinear layout p[i] = (t[i] : 0 : 1) was used and is None otherwise;
-    the structural identities of the library assume the collinear layout,
-    and `explicit` exists so tests can probe what breaks without it.
+    points and q hold the coordinates as given, as Fractions.  The library
+    assumes the collinear layout p[i] = (t[i] : 0 : 1); `explicit` exists
+    so tests can probe what breaks without it.
 
     int_points and int_lines are the points and the lines through q and
-    each point, scaled to primitive integer coordinates with a positive
-    leading entry; the oracle computes with these alone.
+    each point as primitive integer triples with a positive leading entry,
+    one per projective point or line; every check and computation uses
+    them alone.  Equality and hash are theirs (they fix q, the meet of the
+    lines), so projectively equal configs are equal.
 
     incidence holds 0/1 bits from exact integer dot products: row 0 is the
     base line y = 0 and row i + 1 is int_lines[i]; column j is int_points[j],
@@ -99,52 +93,46 @@ class PointConfig:
     (_level_blocks_independent).
     """
 
-    points: tuple[Point3, ...]
-    q: Point3
-    t: tuple[Fraction, ...] | None = None
-    int_points: tuple[IntVec3, ...] = field(init=False, repr=False, compare=False)
-    int_lines: tuple[IntVec3, ...] = field(init=False, repr=False, compare=False)
+    points: tuple[Point3, ...] = field(compare=False)
+    q: Point3 = field(compare=False)
+    int_points: tuple[IntVec3, ...] = field(init=False, repr=False)
+    int_lines: tuple[IntVec3, ...] = field(init=False, repr=False)
     incidence: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(_point(p) for p in self.points))
         object.__setattr__(self, "q", _point(self.q))
-        if self.t is not None:
-            object.__setattr__(self, "t", tuple(_frac(x) for x in self.t))
         if self.n < 2:
             raise ValueError(picard.TOO_FEW_POINTS)
-        if self.q[1] == 0:
-            raise ValueError("q must not lie on the base line {y = 0}")
         q = _primitive(self.q)
+        if q[1] == 0:
+            raise ValueError("q must not lie on the base line {y = 0}")
         points = tuple(_primitive(p) for p in self.points)
         for i, p in enumerate(points, start=1):
-            if all(c == 0 for c in _cross(q, p)):
+            if p == q:
                 raise ValueError(f"q coincides with p{i}")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                # primitive coordinates with a positive leading entry are
-                # unique to their projective point
-                if points[i] == points[j]:
-                    raise ValueError(f"p{i + 1} and p{j + 1} coincide")
-                if _det3(q, points[i], points[j]) == 0:
-                    raise ValueError(
-                        f"p{i + 1}, p{j + 1} and q are collinear; "
-                        "the lines through q would not separate the points"
-                    )
-        object.__setattr__(self, "int_points", points)
         lines = tuple(_primitive(_cross(q, p)) for p in points)
+        # p[i], p[j] and q are collinear, or p[i] = p[j], exactly when their
+        # lines through q are equal: the lowest group's first two are the
+        # first such pair (i, j)
+        groups = {}
+        for i, line in enumerate(lines, start=1):
+            groups.setdefault(line, []).append(i)
+        if len(groups) < self.n:
+            i, j = next(g for g in groups.values() if len(g) > 1)[:2]
+            if points[i - 1] == points[j - 1]:
+                raise ValueError(f"p{i} and p{j} coincide")
+            raise ValueError(
+                f"p{i}, p{j} and q are collinear; "
+                "the lines through q would not separate the points"
+            )
+        object.__setattr__(self, "int_points", points)
         object.__setattr__(self, "int_lines", lines)
         incidence = tuple(
             tuple([0 if lx * px + ly * py + lz * pz else 1 for px, py, pz in points])
             for lx, ly, lz in ((0, 1, 0), *lines)
         )
         object.__setattr__(self, "incidence", incidence)
-        # h0_rank's cache is keyed by the config: hash its Fractions once,
-        # not on every lookup
-        object.__setattr__(self, "_hash", hash((self.points, self.q, self.t)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def n(self) -> int:
@@ -153,9 +141,7 @@ class PointConfig:
     @classmethod
     def collinear(cls, t, q=(0, 1, 0)) -> "PointConfig":
         """Points (t[i] : 0 : 1) on the base line, pairwise distinct."""
-        t = tuple(_frac(x) for x in t)
-        points = tuple((ti, Fraction(0), Fraction(1)) for ti in t)
-        return cls(points, _point(q), t)
+        return cls(tuple((x, 0, 1) for x in t), q)
 
     @classmethod
     def default(cls, n: int) -> "PointConfig":
@@ -165,7 +151,7 @@ class PointConfig:
     @classmethod
     def explicit(cls, points, q) -> "PointConfig":
         """Arbitrary point positions (points need not lie on the base line)."""
-        return cls(tuple(_point(p) for p in points), _point(q), None)
+        return cls(points, q)
 
 
 def load_config(path) -> PointConfig:
@@ -173,6 +159,7 @@ def load_config(path) -> PointConfig:
 
     Values are comma- or whitespace-separated; rationals may be written
     "p/q".  Lines starting with '#' are comments.  q defaults to (0, 1, 0).
+    A key other than n, t and q, or one given twice, is an error.
     """
     keys = {}
     with open(path) as fh:
@@ -183,7 +170,12 @@ def load_config(path) -> PointConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
-            keys[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in ("n", "t", "q"):
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}; the keys are n, t and q")
+            if key in keys:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is given twice")
+            keys[key] = value.strip()
     if "t" not in keys:
         raise ValueError(f"{path}: missing required key 't'")
 

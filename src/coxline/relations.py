@@ -181,17 +181,14 @@ def derive_relations(cfg: PointConfig) -> list[Relation]:
 
 
 def _line_dependency(u, v, w) -> tuple[Fraction, Fraction]:
-    """Coefficients (a, b) with u + a*v + b*w = 0 for three concurrent lines,
-    each given as its coefficient triple (cx, cy, cz)."""
-    for r1 in range(3):
-        for r2 in range(r1 + 1, 3):
-            det = v[r1] * w[r2] - v[r2] * w[r1]
-            if det == 0:
-                continue
-            a = (-u[r1] * w[r2] + u[r2] * w[r1]) / det
-            b = (-v[r1] * u[r2] + v[r2] * u[r1]) / det
-            return a, b
-    raise ValueError("the two anchor lines are proportional; invalid configuration")
+    """Coefficients (a, b) with u + a*v + b*w = 0 for three lines through q,
+    each given as its coefficient triple (cx, cy, cz), solved on the x and z
+    entries: v x w is a multiple of q, so its y entry, this minor, is
+    nonzero unless v and w are proportional, since q is off y = 0."""
+    det = v[0] * w[2] - v[2] * w[0]
+    if det == 0:
+        raise ValueError("the two anchor lines are proportional; invalid configuration")
+    return (u[2] * w[0] - u[0] * w[2]) / det, (v[2] * u[0] - v[0] * u[2]) / det
 
 
 def normal_form(p: GradedPolynomial, rels) -> GradedPolynomial:

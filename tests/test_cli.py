@@ -246,6 +246,22 @@ def test_bad_literal_names_where_it_is(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_unknown_or_repeated_key_names_where_it_is(capsys, tmp_path):
+    # a misspelt key is not ignored and a repeated one does not overwrite
+    # the first: exit 2, naming the file, the line and the key
+    for text, where, key in (
+        ("t = 0, 1, 2\nqq = 1, 2, 1\n", 2, "'qq'"),
+        ("# the points\nt = 0 1 2\n\nq = 1, 2, 1\nq = 0, 1, 0\n", 5, "'q'"),
+        ("t = 0 1 2\nt = 0 1 3\n", 2, "'t'"),
+    ):
+        cfgfile = tmp_path / "keys.cfg"
+        cfgfile.write_text(text)
+        for command in (["relations"], ["verify", "--dmax", "1"], ["h0", "1 0 0 0"]):
+            code, out, err = run_cli(capsys, "--config", str(cfgfile), *command)
+            assert code == 2 and out == "", (text, command)
+            assert err.startswith(f"error: {cfgfile}:{where}: ") and key in err, err
+
+
 def test_coincident_points_are_not_called_collinear(tmp_path):
     # 1/2 and 2/4 are the same point; the message says so, with exit 2
     cfgfile = tmp_path / "coincident.cfg"

@@ -5,12 +5,13 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coxline import coxmono, oracle, picard
+from coxline import cli, coxmono, oracle, picard
 from coxline.coxmono import CoxMonomial, degree_of, enumerate_standard_monomials, in_initial_ideal
 from coxline.oracle import (
     HomogeneousForm,
@@ -59,7 +60,6 @@ CFG3_ALT = PointConfig.collinear((Fraction(-1), Fraction(1, 2), Fraction(3)), q=
 
 def test_default_config_layout():
     assert CFG3.n == 3
-    assert CFG3.t == (0, 1, 2)
     assert CFG3.points[1] == (1, 0, 1)
     assert CFG3.q == (0, 1, 0)
 
@@ -79,6 +79,133 @@ def test_config_rejects_degenerate_data():
                  lambda: PointConfig.collinear((5,)), lambda: PointConfig.explicit([(0, 1, 1)], q=(0, 1, 0))):
         with pytest.raises(ValueError, match="n >= 2"):
             make()
+
+
+def fraction_cross(p, q):
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def fraction_primitive(v):
+    """v divided by its first nonzero entry, then times the lcm of the
+    denominators: coprime integers with a positive leading entry."""
+    lead = next(x for x in v if x)
+    monic = [x / lead for x in v]
+    den = lcm(*(x.denominator for x in monic))
+    return tuple(int(x * den) for x in monic)
+
+
+def reference_config_error(points, q):
+    """The message of the pairwise Fraction check that PointConfig made
+    before it compared primitive lines, or None when the config is valid:
+    q against each point, then each pair (i, j) in order, coincident when
+    p[i] x p[j] = 0 and collinear with q when det(q, p[i], p[j]) = 0."""
+    points = [tuple(Fraction(x) for x in p) for p in points]
+    q = tuple(Fraction(x) for x in q)
+    for p in (*points, q):
+        if not any(p):
+            return f"not a projective point: {p}"
+    if len(points) < 2:
+        return picard.TOO_FEW_POINTS
+    if q[1] == 0:
+        return "q must not lie on the base line {y = 0}"
+    for i, p in enumerate(points, start=1):
+        if not any(fraction_cross(q, p)):
+            return f"q coincides with p{i}"
+    for (i, p), (j, r) in itertools.combinations(enumerate(points, start=1), 2):
+        if not any(fraction_cross(p, r)):
+            return f"p{i} and p{j} coincide"
+        if sum(map(mul, q, fraction_cross(p, r))) == 0:
+            return f"p{i}, p{j} and q are collinear; the lines through q would not separate the points"
+    return None
+
+
+def config_corpus(count, seed):
+    """Seeded (points, q) pairs: points on y = 0 or anywhere, with small
+    integer and rational coordinates, some repeated at another scale, some
+    zero, and q sometimes a rescaled point or on y = 0."""
+    rng = random.Random(seed)
+
+    def coord():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+
+    def rescaled(p):
+        c = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 5)))
+        return tuple(c * x for x in p)
+
+    for _ in range(count):
+        n = rng.choice((1, 2, 3, 3, 4, 5, 6))
+        on_base = rng.random() < 0.4
+        points = [(coord(), 0, rng.choice((1, 2))) if on_base else (coord(), coord(), coord()) for _ in range(n)]
+        if rng.random() < 0.3:
+            points[rng.randrange(n)] = rescaled(rng.choice(points))
+        q = (coord(), coord(), coord())
+        if rng.random() < 0.1:
+            q = rescaled(rng.choice(points))
+        yield points, q
+
+
+# every rejection by the checks, by a piece of its message; the corpus must
+# reach each one, and valid configs too
+REJECTIONS = {
+    "zero point": "not a projective point",
+    "too few points": "n >= 2",
+    "q on y = 0": "q must not lie on the base line",
+    "q at a point": "q coincides with",
+    "coincident": " coincide",
+    "collinear with q": "are collinear",
+}
+
+
+def test_config_checks_agree_with_the_pairwise_fraction_reference():
+    # p1, p4 and p2, p3 both lie on a line through q = (0 : 1 : 0): the
+    # first pair in order is named, not the first one found scanning j
+    two_bad_pairs = ([(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 2, 1)], (0, 1, 0))
+    seen = set()
+    for points, q in [two_bad_pairs, *config_corpus(3000, 1818)]:
+        expected = reference_config_error(points, q)
+        seen.add("valid" if expected is None else next(kind for kind, text in REJECTIONS.items() if text in expected))
+        try:
+            cfg = PointConfig.explicit(points, q)
+        except ValueError as exc:
+            assert str(exc) == expected, (points, q)
+            continue
+        assert expected is None, (points, q)
+        fpoints = [tuple(Fraction(x) for x in p) for p in points]
+        flines = [fraction_primitive(fraction_cross(tuple(map(Fraction, q)), p)) for p in fpoints]
+        assert cfg.int_points == tuple(fraction_primitive(p) for p in fpoints)
+        assert cfg.int_lines == tuple(flines)
+        assert cfg.incidence == tuple(
+            tuple(int(sum(map(mul, line, p)) == 0) for p in fpoints) for line in [(0, 1, 0), *flines]
+        )
+    with pytest.raises(ValueError, match="^p1, p4 and q are collinear"):
+        PointConfig.explicit(*two_bad_pairs)
+    assert seen == {"valid", *REJECTIONS}, seen
+
+
+def test_projectively_equal_configs_are_equal(monkeypatch, capsys):
+    # equality, hash and every output come from the integer coordinates
+    configs = (
+        PointConfig.collinear((0, 1, 2)),
+        PointConfig.collinear((0, 1, 2), q=(0, 2, 0)),
+        PointConfig.explicit([(0, 0, 3), (-2, 0, -2), (Fraction(1, 2), 0, Fraction(1, 4))], q=(0, Fraction(-1, 3), 0)),
+    )
+    assert len(set(configs)) == 1
+    assert all(cfg == configs[0] and hash(cfg) == hash(configs[0]) for cfg in configs)
+    outputs = []
+    for cfg in configs:
+        monkeypatch.setattr(cli, "_load_cfg", lambda args, cfg=cfg: cfg)
+        printed = []
+        for argv in (["basis", "4 2 1 1"], ["--json", "basis", "4 2 1 1"], ["relations"], ["--json", "relations"]):
+            assert cli.main(argv) == 0
+            printed.append(capsys.readouterr())
+        outputs.append(printed)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    D = DivisorClass(9, (4, 3, 3))
+    h0_rank(configs[0], D)
+    before = h0_rank.cache_info()
+    assert h0_rank(configs[1], D) == h0_rank(configs[2], D) == h0_rank(configs[0], D)
+    after = h0_rank.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
 
 
 def line_form(cfg, i):
