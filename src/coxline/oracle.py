@@ -7,18 +7,22 @@ are then degree-d plane forms with multiplicity >= a[i] at p[i], so every
 dimension claim can be settled by the exact rank of a constraint matrix,
 independently of any cone or counting formula.
 
-The points, q and the lines through q are scaled once to primitive
-integer coordinates, which a configuration is checked and compared by.
-Projective scaling multiplies each constraint row and each realized form
-by a nonzero constant, which changes neither vanishing nor rank, so the
-whole oracle computes over Z; only the printed forms are divided back to
-lines with leading coefficient 1.  Products of lines are built one level
-run at a time (_run_products); nothing is stored beyond h0_rank's cache.
+A configuration keeps only integer geometry: the points and the lines
+through q and each point, scaled once to primitive integer coordinates,
+and their incidence table.  Projective scaling multiplies each constraint
+row and each realized form by a nonzero constant, which changes neither
+vanishing nor rank, so the whole oracle computes over Z.  Fractions appear
+only where a config file is parsed and where a coefficient is printed: a
+realized form is its integer terms over one positive denominator, the
+product of the lines' leading coefficients, and each printed coefficient
+is that quotient in lowest terms, so every line reads with leading
+coefficient 1.  Products of lines are built one level run at a time
+(_run_products); nothing is stored beyond h0_rank's cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm
@@ -27,19 +31,7 @@ from operator import mul
 from . import coxmono, picard
 from .picard import DivisorClass
 
-Point3 = tuple[Fraction, Fraction, Fraction]
 IntVec3 = tuple[int, int, int]
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _point(p) -> Point3:
-    p = tuple(_frac(x) for x in p)
-    if len(p) != 3 or all(x == 0 for x in p):
-        raise ValueError(f"not a projective point: {p}")
-    return p
 
 
 def _cross(p, q) -> IntVec3:
@@ -51,8 +43,13 @@ def _cross(p, q) -> IntVec3:
 
 
 def _primitive(v) -> IntVec3:
-    """A nonzero int or Fraction triple scaled to coprime integers, leading
-    entry > 0: the one such representative of its projective point."""
+    """A projective point or line scaled to coprime integers, leading entry
+    > 0: the one such representative.  A coordinate that is not an int or a
+    Fraction is converted by Fraction; a triple of zeros, or anything but a
+    triple, is a ValueError."""
+    v = tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v)
+    if len(v) != 3 or not any(v):
+        raise ValueError(f"not a projective point: ({', '.join(map(str, v))})")
     den = lcm(*(x.denominator for x in v))
     ints = [x.numerator * (den // x.denominator) for x in v]
     g = gcd(*ints)
@@ -67,17 +64,20 @@ def _lead(v: IntVec3) -> int:
 
 @dataclass(frozen=True)
 class PointConfig:
-    """n points and an auxiliary point q fixing all section forms.
+    """n points and an auxiliary point q fixing all section forms, kept as
+    integer geometry only.
 
-    points and q hold the coordinates as given, as Fractions.  The library
-    assumes the collinear layout p[i] = (t[i] : 0 : 1); `explicit` exists
-    so tests can probe what breaks without it.
+    points and q are constructor inputs, not fields: any nonzero triples of
+    ints, Fractions or values that Fraction accepts.  The library assumes
+    the collinear layout p[i] = (t[i] : 0 : 1); `explicit` exists so tests
+    can probe what breaks without it.
 
     int_points and int_lines are the points and the lines through q and
     each point as primitive integer triples with a positive leading entry,
     one per projective point or line; every check and computation uses
-    them alone.  Equality and hash are theirs (they fix q, the meet of the
-    lines), so projectively equal configs are equal.
+    them alone, and n is len(int_points).  Equality, hash and repr are
+    theirs (they fix q, the meet of the lines), so projectively equal
+    configs are equal.
 
     incidence holds 0/1 bits from exact integer dot products: row 0 is the
     base line y = 0 and row i + 1 is int_lines[i]; column j is int_points[j],
@@ -93,21 +93,19 @@ class PointConfig:
     (_level_blocks_independent).
     """
 
-    points: tuple[Point3, ...] = field(compare=False)
-    q: Point3 = field(compare=False)
-    int_points: tuple[IntVec3, ...] = field(init=False, repr=False)
-    int_lines: tuple[IntVec3, ...] = field(init=False, repr=False)
+    points: InitVar[tuple]
+    q: InitVar[tuple]
+    int_points: tuple[IntVec3, ...] = field(init=False)
+    int_lines: tuple[IntVec3, ...] = field(init=False)
     incidence: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(_point(p) for p in self.points))
-        object.__setattr__(self, "q", _point(self.q))
-        if self.n < 2:
+    def __post_init__(self, points, q):
+        points = tuple(_primitive(p) for p in points)
+        q = _primitive(q)
+        if len(points) < 2:
             raise ValueError(picard.TOO_FEW_POINTS)
-        q = _primitive(self.q)
         if q[1] == 0:
             raise ValueError("q must not lie on the base line {y = 0}")
-        points = tuple(_primitive(p) for p in self.points)
         for i, p in enumerate(points, start=1):
             if p == q:
                 raise ValueError(f"q coincides with p{i}")
@@ -118,7 +116,7 @@ class PointConfig:
         groups = {}
         for i, line in enumerate(lines, start=1):
             groups.setdefault(line, []).append(i)
-        if len(groups) < self.n:
+        if len(groups) < len(points):
             i, j = next(g for g in groups.values() if len(g) > 1)[:2]
             if points[i - 1] == points[j - 1]:
                 raise ValueError(f"p{i} and p{j} coincide")
@@ -136,7 +134,7 @@ class PointConfig:
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return len(self.int_points)
 
     @classmethod
     def collinear(cls, t, q=(0, 1, 0)) -> "PointConfig":
@@ -158,8 +156,9 @@ def load_config(path) -> PointConfig:
     """Read a key-value config file: t (list of rationals), optional n and q.
 
     Values are comma- or whitespace-separated; rationals may be written
-    "p/q".  Lines starting with '#' are comments.  q defaults to (0, 1, 0).
-    A key other than n, t and q, or one given twice, is an error.
+    "p/q".  Lines starting with '#' are comments.  q defaults to (0, 1, 0),
+    and three zeros are an error.  A key other than n, t and q, or one given
+    twice, is an error.
     """
     keys = {}
     with open(path) as fh:
@@ -203,76 +202,55 @@ def load_config(path) -> PointConfig:
         q = tuple(rationals("q"))
         if len(q) != 3:
             raise ValueError(f"{path}: q must have three coordinates")
+        if not any(q):
+            raise ValueError(f"{path}: q = {keys['q']!r} is not a projective point: all three coordinates are 0")
     return PointConfig.collinear(t, q)
 
 
 class HomogeneousForm:
-    """Sparse homogeneous polynomial in the plane coordinates x, y, z: the
-    printed value of a realized form.
-
-    Stored as a map from exponent triples (summing to the degree) to nonzero
-    rational coefficients.
+    """A realized form as it is printed: coeffs maps exponent triples in x,
+    y, z (summing to degree) to nonzero ints, and the form is their sum over
+    den > 0.  Nothing computes with it.  str and to_json list the terms in
+    descending graded lex order, x > y > z, from one sort, and print each
+    coefficient c as c / den in lowest terms, the text of Fraction(c, den).
     """
 
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ("degree", "coeffs", "den", "_terms")
 
-    def __init__(self, degree: int, coeffs):
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        clean = {}
-        for exps, c in coeffs.items():
-            c = _frac(c)
-            if c == 0:
-                continue
-            exps = (int(exps[0]), int(exps[1]), int(exps[2]))
-            if min(exps) < 0 or sum(exps) != degree:
-                raise ValueError(f"exponents {exps} do not match degree {degree}")
-            clean[exps] = c
+    def __init__(self, degree: int, coeffs: dict, den: int):
         self.degree = degree
-        self.coeffs = clean
+        self.coeffs = coeffs
+        self.den = den
+        self._terms = None
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HomogeneousForm)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def terms_sorted(self):
-        """Terms in graded lex order with x > y > z, descending."""
-        return sorted(self.coeffs.items(), key=lambda item: item[0], reverse=True)
+    def terms(self) -> list:
+        """(exponents, coefficient text) in descending order, made once."""
+        if self._terms is None:
+            den = self.den
+            terms = []
+            for e, c in sorted(self.coeffs.items(), reverse=True):
+                g = gcd(c, den)
+                terms.append((e, str(c // g) if g == den else f"{c // g}/{den // g}"))
+            self._terms = terms
+        return self._terms
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        names = "xyz"
+        names = _monomial_names(self.degree)
         parts = []
-        for exps, c in self.terms_sorted():
-            mono = "*".join(
-                f"{names[k]}^{e}" if e > 1 else names[k] for k, e in enumerate(exps) if e
-            )
+        for e, c in self.terms():
+            mono = names[e]
             if not mono:
-                parts.append(str(c))
-            elif c == 1:
+                parts.append(c)
+            elif c == "1":
                 parts.append(mono)
-            elif c == -1:
+            elif c == "-1":
                 parts.append(f"-{mono}")
             else:
                 parts.append(f"{c}*{mono}")
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+        return " + ".join(parts).replace("+ -", "- ")
 
     def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "terms": [{"exps": list(e), "coeff": str(c)} for e, c in self.terms_sorted()],
-        }
-
-    def __repr__(self) -> str:
-        return f"HomogeneousForm({self})"
+        return {"degree": self.degree, "terms": [{"exps": list(e), "coeff": c} for e, c in self.terms()]}
 
 
 @lru_cache(maxsize=None)
@@ -282,6 +260,12 @@ def monomials_of_degree(d: int) -> tuple[tuple[int, int, int], ...]:
         (i, j, d - i - j) for i in range(d, -1, -1) for j in range(d - i, -1, -1)
     ]
     return tuple(triples)
+
+
+@lru_cache(maxsize=None)
+def _monomial_names(d: int) -> dict:
+    """Degree-d exponent triple -> its printed monomial, such as x^2*z."""
+    return {e: "*".join(f"{v}^{k}" if k > 1 else v for v, k in zip("xyz", e) if k) for e in monomials_of_degree(d)}
 
 
 @lru_cache(maxsize=None)
@@ -473,8 +457,9 @@ def realize_run(cfg: PointConfig, run: coxmono.StandardRun):
     """The realized forms of the monomials of a level run, s = lo..hi in
     that order: y^lam times the product of the lines l[i]^sigma[i], with
     each line scaled to leading coefficient 1.  Each form is its integer
-    product from _run_products divided by prod(lead[i]^sigma[i]), lead[i]
-    the leading coefficient of int_lines[i].
+    product from _run_products, exponents shifted by lam, over the
+    denominator prod(lead[i]^sigma[i]), lead[i] the leading coefficient of
+    int_lines[i]; the quotient is taken only when it is printed.
 
     The e-exponents contribute no plane factor; they only shift the target
     multiplicities, so a form vanishes at p[i] to order >= lam + sigma[i].
@@ -485,11 +470,9 @@ def realize_run(cfg: PointConfig, run: coxmono.StandardRun):
     for line, k in zip(head_lines, head):
         head_den *= _lead(line) ** k
     for s, product in zip(range(lo, hi + 1), _run_products(cfg, head, rest, lo, hi)):
-        den = head_den * _lead(u) ** s * _lead(v) ** (rest - s)
-        yield HomogeneousForm(
-            lam + sum(head) + rest,
-            {(ex, ey + lam, ez): Fraction(c, den) for (ex, ey, ez), c in product.items()},
-        )
+        if lam:
+            product = {(ex, ey + lam, ez): c for (ex, ey, ez), c in product.items()}
+        yield HomogeneousForm(lam + sum(head) + rest, product, head_den * _lead(u) ** s * _lead(v) ** (rest - s))
 
 
 def realize_monomial(cfg: PointConfig, m: coxmono.CoxMonomial) -> HomogeneousForm:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -260,6 +261,19 @@ def test_unknown_or_repeated_key_names_where_it_is(capsys, tmp_path):
             code, out, err = run_cli(capsys, "--config", str(cfgfile), *command)
             assert code == 2 and out == "", (text, command)
             assert err.startswith(f"error: {cfgfile}:{where}: ") and key in err, err
+
+
+def test_a_zero_q_names_the_file_and_the_key(capsys, tmp_path):
+    # q = 0, 0, 0 is no projective point: exit 2, naming the file and q with
+    # its values as written; the library's message prints plain numbers
+    cfgfile = tmp_path / "zero.cfg"
+    cfgfile.write_text("t = 0, 1, 2\nq = 0, 0/3, 0\n")
+    for command in (["relations"], ["verify", "--dmax", "1"], ["h0", "1 0 0 0"]):
+        code, out, err = run_cli(capsys, "--config", str(cfgfile), *command)
+        assert code == 2 and out == "", command
+        assert err == f"error: {cfgfile}: q = '0, 0/3, 0' is not a projective point: all three coordinates are 0\n"
+    with pytest.raises(ValueError, match=r"^not a projective point: \(0, 0, 0\)$"):
+        PointConfig.collinear((0, 1, 2), q=(0, Fraction(0), 0))
 
 
 def test_coincident_points_are_not_called_collinear(tmp_path):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from coxline import cli, coxmono, oracle, picard
 from coxline.coxmono import CoxMonomial, degree_of, enumerate_standard_monomials, in_initial_ideal
 from coxline.oracle import (
-    HomogeneousForm,
     PointConfig,
     constraint_rows,
     h0_rank,
@@ -54,14 +53,48 @@ def densify(sparse_rows, ncols):
     return [[row.get(j, 0) for j in range(ncols)] for row in sparse_rows]
 
 
-CFG3 = PointConfig.default(3)
-CFG3_ALT = PointConfig.collinear((Fraction(-1), Fraction(1, 2), Fraction(3)), q=(1, 2, 1))
+# the coordinates each test configuration below was built from, as
+# Fractions: the reference side of the checks that work over Q, since a
+# PointConfig keeps only its integer geometry.  Configs equal as values are
+# projectively equal, so whichever coordinates are kept first serve them all
+GIVEN = {}
+
+
+def kept(cfg, points, q):
+    """cfg, with the coordinates it was built from kept in GIVEN."""
+    GIVEN.setdefault(cfg, (tuple(tuple(map(Fraction, p)) for p in points), tuple(map(Fraction, q))))
+    return cfg
+
+
+def collinear(t, q=(0, 1, 0)):
+    """PointConfig.collinear(t, q), its coordinates kept."""
+    return kept(PointConfig.collinear(t, q), [(x, 0, 1) for x in t], q)
+
+
+def explicit(points, q):
+    """PointConfig.explicit(points, q), its coordinates kept."""
+    return kept(PointConfig.explicit(points, q), points, q)
+
+
+def default(n):
+    """PointConfig.default(n), with its coordinates (i - 1 : 0 : 1) and
+    q = (0 : 1 : 0) kept."""
+    return kept(PointConfig.default(n), [(i, 0, 1) for i in range(n)], (0, 1, 0))
+
+
+CFG3 = default(3)
+CFG3_ALT = collinear((Fraction(-1), Fraction(1, 2), Fraction(3)), q=(1, 2, 1))
 
 
 def test_default_config_layout():
     assert CFG3.n == 3
-    assert CFG3.points[1] == (1, 0, 1)
-    assert CFG3.q == (0, 1, 0)
+    assert CFG3.int_points[1] == (1, 0, 1)
+    # every line through q = (0 : 1 : 0) has no y term
+    assert all(line[1] == 0 for line in CFG3.int_lines)
+    assert CFG3 == PointConfig.explicit(*GIVEN[CFG3])
+    # the inputs are not kept: a config is its integer geometry
+    assert not hasattr(CFG3, "points") and not hasattr(CFG3, "q")
+    assert repr(CFG3) == "PointConfig(int_points=((0, 0, 1), (1, 0, 1), (2, 0, 1)), int_lines=((1, 0, 0), (1, 0, -1), (1, 0, -2)))"
 
 
 def test_config_rejects_degenerate_data():
@@ -103,7 +136,7 @@ def reference_config_error(points, q):
     q = tuple(Fraction(x) for x in q)
     for p in (*points, q):
         if not any(p):
-            return f"not a projective point: {p}"
+            return f"not a projective point: ({', '.join(map(str, p))})"
     if len(points) < 2:
         return picard.TOO_FEW_POINTS
     if q[1] == 0:
@@ -221,13 +254,14 @@ def test_line_forms_default_config():
 
 
 def test_line_forms_vanishing_conditions():
-    for cfg in (CFG3, CFG3_ALT, PointConfig.default(5)):
-        for i, p in enumerate(cfg.points):
+    for cfg in (CFG3, CFG3_ALT, default(5)):
+        points, q = GIVEN[cfg]
+        for i, p in enumerate(points):
             line = cfg.int_lines[i]
             assert sum(c * x for c, x in zip(line, p)) == 0
-            assert sum(c * x for c, x in zip(line, cfg.q)) == 0
+            assert sum(c * x for c, x in zip(line, q)) == 0
             assert p[1] == 0  # on the base line y = 0
-            for j, other in enumerate(cfg.points):
+            for j, other in enumerate(points):
                 if j != i:
                     assert sum(c * x for c, x in zip(line, other)) != 0
 
@@ -236,7 +270,7 @@ def test_line_forms_are_normalized():
     for cfg in (CFG3, CFG3_ALT):
         for i, line in enumerate(cfg.int_lines):
             assert gcd(*line) == 1 and next(c for c in line if c) > 0
-            lead = line_form(cfg, i).terms_sorted()[0][1]
+            lead = Form.of(line_form(cfg, i)).terms_sorted()[0][1]
             assert lead == 1
 
 
@@ -323,7 +357,7 @@ def test_realize_monomial_examples():
     assert str(realize_monomial(CFG3, s1e1)) == "x"
     le123 = CoxMonomial(1, (0, 0, 0), (1, 1, 1))
     assert str(realize_monomial(CFG3, le123)) == "y"
-    assert realize_monomial(CFG3, CoxMonomial.unit(n)) == Form.constant(1)
+    assert Form.of(realize_monomial(CFG3, CoxMonomial.unit(n))) == Form.constant(1)
 
 
 def test_realized_forms_vanish_to_the_required_order():
@@ -336,7 +370,7 @@ def test_realized_forms_vanish_to_the_required_order():
             rows = constraint_rows(cfg, D)
             index = {e: j for j, e in enumerate(monomials_of_degree(D.d))}
             for m in enumerate_standard_monomials(D):
-                form = realize_monomial(cfg, m)
+                form = Form.of(realize_monomial(cfg, m))
                 assert form.degree == D.d
                 vec = {index[e]: c for e, c in form.coeffs.items()}
                 for row in rows:
@@ -396,11 +430,11 @@ def test_form_arithmetic():
 def test_form_json_round_trip():
     form = line_form(CFG3_ALT, 0)
     payload = form.to_json()
-    rebuilt = HomogeneousForm(
+    rebuilt = Form(
         payload["degree"],
         {tuple(t["exps"]): Fraction(t["coeff"]) for t in payload["terms"]},
     )
-    assert rebuilt == form
+    assert rebuilt == Form.of(form)
 
 
 def test_load_config(tmp_path):
@@ -430,13 +464,13 @@ T_POOL_A = (Fraction(-1), Fraction(1, 2), Fraction(3), Fraction(9, 2))
 def integer_path_configs():
     # one object per config: h0_rank's cache and the test-side caches are
     # keyed by the config, where a lookup with an equal but distinct one
-    # compares its Fractions
-    return tuple(cfg for n in (2, 3, 4) for cfg in (PointConfig.default(n), pool_a_config(n)))
+    # compares its coordinates
+    return tuple(cfg for n in (2, 3, 4) for cfg in (default(n), pool_a_config(n)))
 
 
 def pool_a_config(n):
     """A new object for the first n points of the rational configuration."""
-    return PointConfig.collinear(T_POOL_A[:n], q=(1, 2, 1))
+    return collinear(T_POOL_A[:n], q=(1, 2, 1))
 
 
 # (n, j): the non-collinear configurations of the reference cross-checks,
@@ -477,9 +511,10 @@ def reference_classes(cfgs):
 
 
 def fraction_line(cfg, i):
-    """The line through q and p[i], from the Fraction coordinates with no
-    scaling."""
-    (qx, qy, qz), (px, py, pz) = cfg.q, cfg.points[i]
+    """The line through q and p[i], from the Fraction coordinates cfg was
+    built from, with no scaling."""
+    points, (qx, qy, qz) = GIVEN[cfg]
+    px, py, pz = points[i]
     return Form.linear(qy * pz - qz * py, qz * px - qx * pz, qx * py - qy * px)
 
 
@@ -535,7 +570,7 @@ def test_integer_realization_is_a_multiple_of_the_fraction_path():
                     m = CoxMonomial(lam, sigma, (0,) * n)
                     vec = realized_vector(cfg, lam, sigma)
                     assert all(type(c) is int for c in vec.values())
-                    for form in (realize_monomial(cfg, m), fraction_realization(cfg, lam, sigma)):
+                    for form in (Form.of(realize_monomial(cfg, m)), fraction_realization(cfg, lam, sigma)):
                         assert form.degree == d
                         assert_rational_multiple(vec, {index[e]: c for e, c in form.coeffs.items()})
 
@@ -544,7 +579,23 @@ def infinite_config(n):
     """p[i] = (i - 1 : 0 : 1) for i < n and p[n] = (1 : 0 : 0), the point
     at infinity of the base line: the line through q = (0 : 1 : 0) and p[n]
     is z, which has no x term."""
-    return PointConfig.explicit([(i, 0, 1) for i in range(n - 1)] + [(1, 0, 0)], q=(0, 1, 0))
+    return explicit([(i, 0, 1) for i in range(n - 1)] + [(1, 0, 0)], q=(0, 1, 0))
+
+
+def realization_configs():
+    """The reference configurations and infinite_config, n = 2..4."""
+    return (*reference_configs(), *map(infinite_config, (2, 3, 4)))
+
+
+@lru_cache(maxsize=None)
+def distinct_runs(n):
+    """The level runs of every effective class of effective_classes(n),
+    each listed once."""
+    runs = {}
+    for _, mons, _ in effective_classes(n):
+        for run in mons.runs:
+            runs[run.lam, run.sigma_head, run.rest, run.lo, run.hi] = run
+    return tuple(runs.values())
 
 
 def test_realized_runs_equal_the_fraction_reference():
@@ -553,15 +604,23 @@ def test_realized_runs_equal_the_fraction_reference():
     # exact division by the last line runs in z: the forms of each run, built
     # by multiplying by l[n-1] and dividing by l[n], and of each monomial
     # alone.  A run or a monomial shared by several classes is checked once
-    for cfg in (*reference_configs(), *map(infinite_config, (2, 3, 4))):
-        runs = {}
-        for _, mons, _ in effective_classes(cfg.n):
-            for run in mons.runs:
-                runs[run.lam, run.sigma_head, run.rest, run.lo, run.hi] = run
-        for run in runs.values():
+    for cfg in realization_configs():
+        for run in distinct_runs(cfg.n):
             expected = [monic_realization(cfg, m.lam, m.sigma) for m in run.monomials()]
-            assert list(oracle.realize_run(cfg, run)) == expected, (cfg, run)
-            assert [realize_monomial(cfg, m) for m in run.monomials()] == expected, (cfg, run)
+            assert [Form.of(form) for form in oracle.realize_run(cfg, run)] == expected, (cfg, run)
+            assert [Form.of(realize_monomial(cfg, m)) for m in run.monomials()] == expected, (cfg, run)
+
+
+def test_realized_forms_print_as_the_fraction_reference():
+    # the same forms, printed from their integer terms over one denominator:
+    # text and JSON equal those of the Fraction product of the monic lines,
+    # coefficient by coefficient, on every configuration above
+    for cfg in realization_configs():
+        for run in distinct_runs(cfg.n):
+            for m, form in zip(run.monomials(), oracle.realize_run(cfg, run)):
+                expected = monic_realization(cfg, m.lam, m.sigma)
+                assert str(form) == str(expected), (cfg, m)
+                assert form.to_json() == expected.to_json(), (cfg, m)
 
 
 def line_product(lines):
@@ -619,7 +678,7 @@ def fraction_row_ranks(cfg, d):
             ranks[a] = len(echelon)
             return
         for ai in range(d + 3 - sum(a)):
-            rows = oracle._point_rows(cfg.points[len(a)], d, min(ai, d + 1)) if ai else ()
+            rows = oracle._point_rows(GIVEN[cfg][0][len(a)], d, min(ai, d + 1)) if ai else ()
             extend(echelon_with(echelon, densify(rows, ncols)), a + (ai,))
 
     extend((), ())
@@ -630,7 +689,7 @@ def test_integer_rows_have_the_rank_of_the_fraction_rows():
     for cfg in integer_path_configs():
         for d in range(0, 7):
             ncols = len(monomials_of_degree(d))
-            for p_int, p in zip(cfg.int_points, cfg.points):
+            for p_int, p in zip(cfg.int_points, GIVEN[cfg][0]):
                 for mult in range(1, d + 2):
                     for r_int, r in zip(oracle._point_rows(p_int, d, mult), oracle._point_rows(p, d, mult)):
                         assert_rational_multiple(r_int, r)
@@ -900,7 +959,7 @@ def test_point_rows_equal_a_scan_of_every_column():
 def bent_config(n, j):
     """p[j] = (j - 1 : 1 : 1) is off the base line y = 0, and every other
     p[i] = (i - 1 : 0 : 1) is on it."""
-    return PointConfig.explicit([(i - 1, int(i == j), 1) for i in range(1, n + 1)], q=(0, 1, 0))
+    return explicit([(i - 1, int(i == j), 1) for i in range(1, n + 1)], q=(0, 1, 0))
 
 
 @lru_cache(maxsize=None)

@@ -221,31 +221,33 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 
 @st.composite
 def rational_configs(draw):
-    """n = 3..7 distinct rational t on y = 0 and a rational q off it."""
+    """n = 3..7 distinct rational t on y = 0 and a rational q off it: the
+    config, and the t and q it was built from."""
     n = draw(st.integers(3, 7))
     t = draw(st.lists(rationals, min_size=n, max_size=n, unique=True))
     q = (draw(rationals), draw(rationals.filter(lambda y: y != 0)), draw(rationals))
-    return PointConfig.collinear(t, q)
+    return PointConfig.collinear(t, q), t, q
 
 
-def reference_relations(cfg):
-    """(i, a, b) from Fraction lines through cfg.q and cfg.points,
+def reference_relations(t, q):
+    """(i, a, b) from Fraction lines through q and the points (t[i] : 0 : 1),
     each scaled to leading coefficient 1: l[i] + a*l[n-1] + b*l[n] vanishes
     at p[n], where l[n-1] does not and l[n] does, which gives a, and
     likewise at p[n-1], which gives b."""
-    q = cfg.q
+    points = [(Fraction(x), Fraction(0), Fraction(1)) for x in t]
+    q = tuple(map(Fraction, q))
     lines = []
-    for p in cfg.points:
+    for p in points:
         line = Form.linear(
             q[1] * p[2] - q[2] * p[1], q[2] * p[0] - q[0] * p[2], q[0] * p[1] - q[1] * p[0]
         )
         lines.append(line.scale(1 / line.terms_sorted()[0][1]))
-    n = cfg.n
+    n = len(points)
     out = []
     for i in range(1, n - 1):
         u, v, w = lines[i - 1], lines[n - 2], lines[n - 1]
-        a = -u.evaluate(cfg.points[n - 1]) / v.evaluate(cfg.points[n - 1])
-        b = -u.evaluate(cfg.points[n - 2]) / w.evaluate(cfg.points[n - 2])
+        a = -u.evaluate(points[n - 1]) / v.evaluate(points[n - 1])
+        b = -u.evaluate(points[n - 2]) / w.evaluate(points[n - 2])
         assert (u + v.scale(a) + w.scale(b)).is_zero()
         out.append((i, a, b))
     return out
@@ -253,9 +255,10 @@ def reference_relations(cfg):
 
 @settings(max_examples=60, deadline=None)
 @given(rational_configs())
-def test_relations_on_random_rational_configs(cfg):
+def test_relations_on_random_rational_configs(case):
+    cfg, t, q = case
     rels = derive_relations(cfg)
-    assert [(r.i, r.a_coeff, r.b_coeff) for r in rels] == reference_relations(cfg)
+    assert [(r.i, r.a_coeff, r.b_coeff) for r in rels] == reference_relations(t, q)
     for r in rels:
         assert r.polynomial() is r.polynomial()
         assert verify_relation_geometrically(cfg, r)
