@@ -176,9 +176,11 @@ def _basis_payload(cfg: PointConfig, D: DivisorClass) -> dict:
         return {"divisor": D.to_json(), "h0": 0, "monomials": [], "note": "h0 = 0, empty basis"}
     mons = enumerate_standard_monomials(D)
     entries = []
+    # the monomial and the form stay objects: they are turned into JSON only
+    # when JSON is printed
     for run in mons.runs:
         for m, form in zip(run.monomials(), oracle.realize_run(cfg, run)):
-            entries.append({"monomial": m.to_json(), "text": str(m), "form": form.to_json(), "form_text": str(form)})
+            entries.append({"monomial": m, "text": str(m), "form": form, "form_text": str(form)})
     return {
         "divisor": D.to_json(),
         "h0": picard.h0(D),
@@ -313,6 +315,9 @@ def _dispatch(args) -> int:
         return 0
     if args.command == "basis":
         payload = _basis_payload(cfg, D)
+        if args.json:
+            for entry in payload["monomials"]:
+                entry["monomial"], entry["form"] = entry["monomial"].to_json(), entry["form"].to_json()
         lines = [f"divisor: {D}", f"h0: {payload['h0']}"]
         if "note" in payload:
             lines.append(payload["note"])

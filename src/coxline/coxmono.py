@@ -11,6 +11,9 @@ Standard monomials are the ones avoiding the initial ideal
 (s[1]e[1], ..., s[n-2]e[n-2]): no index i <= n-2 carries both a positive
 sigma[i] and a positive epsilon[i].  Their count in each degree is the
 multigraded Hilbert function of the quotient ring.
+
+A CoxMonomial is only a value to enumerate and to print; the relations'
+arithmetic works on sparse exponents of its own (coxline.relations).
 """
 
 from __future__ import annotations
@@ -24,7 +27,11 @@ from .picard import DivisorClass, is_nef
 
 @dataclass(frozen=True, init=False)
 class CoxMonomial:
-    """Exponent vector (lam; sigma[1..n]; epsilon[1..n]), all non-negative."""
+    """Exponent vector (lam; sigma[1..n]; epsilon[1..n]), all non-negative.
+
+    A value that the enumeration yields and the basis command prints, as
+    text or as JSON; it has no arithmetic.
+    """
 
     lam: int
     sigma: tuple[int, ...]
@@ -47,61 +54,6 @@ class CoxMonomial:
     def n(self) -> int:
         return len(self.sigma)
 
-    @classmethod
-    def unit(cls, n: int) -> "CoxMonomial":
-        return cls(0, (0,) * n, (0,) * n)
-
-    @classmethod
-    def gen_l(cls, n: int) -> "CoxMonomial":
-        return cls(1, (0,) * n, (0,) * n)
-
-    @classmethod
-    def gen_s(cls, n: int, i: int) -> "CoxMonomial":
-        return cls(0, tuple(1 if j == i - 1 else 0 for j in range(n)), (0,) * n)
-
-    @classmethod
-    def gen_e(cls, n: int, i: int) -> "CoxMonomial":
-        return cls(0, (0,) * n, tuple(1 if j == i - 1 else 0 for j in range(n)))
-
-    def total_degree(self) -> int:
-        """Exponent sum, i.e. degree in the free polynomial ring."""
-        return self.lam + sum(self.sigma) + sum(self.epsilon)
-
-    def __mul__(self, other: "CoxMonomial") -> "CoxMonomial":
-        if self.n != other.n:
-            raise ValueError("mixed number of points")
-        return CoxMonomial(
-            self.lam + other.lam,
-            tuple(x + y for x, y in zip(self.sigma, other.sigma)),
-            tuple(x + y for x, y in zip(self.epsilon, other.epsilon)),
-        )
-
-    def divides(self, other: "CoxMonomial") -> bool:
-        return (
-            self.n == other.n
-            and self.lam <= other.lam
-            and all(x <= y for x, y in zip(self.sigma, other.sigma))
-            and all(x <= y for x, y in zip(self.epsilon, other.epsilon))
-        )
-
-    def __floordiv__(self, other: "CoxMonomial") -> "CoxMonomial":
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        return CoxMonomial(
-            self.lam - other.lam,
-            tuple(x - y for x, y in zip(self.sigma, other.sigma)),
-            tuple(x - y for x, y in zip(self.epsilon, other.epsilon)),
-        )
-
-    def lcm(self, other: "CoxMonomial") -> "CoxMonomial":
-        if self.n != other.n:
-            raise ValueError("mixed number of points")
-        return CoxMonomial(
-            max(self.lam, other.lam),
-            tuple(max(x, y) for x, y in zip(self.sigma, other.sigma)),
-            tuple(max(x, y) for x, y in zip(self.epsilon, other.epsilon)),
-        )
-
     def __str__(self) -> str:
         parts = []
         if self.lam:
@@ -121,14 +73,6 @@ def degree_of(m: CoxMonomial) -> DivisorClass:
         m.lam + sum(m.sigma),
         tuple(m.lam + s - e for s, e in zip(m.sigma, m.epsilon)),
     )
-
-
-def generators(n: int) -> list[tuple[str, CoxMonomial]]:
-    """The 2n + 1 ring generators with their display names."""
-    gens = [("l", CoxMonomial.gen_l(n))]
-    gens += [(f"s{i}", CoxMonomial.gen_s(n, i)) for i in range(1, n + 1)]
-    gens += [(f"e{i}", CoxMonomial.gen_e(n, i)) for i in range(1, n + 1)]
-    return gens
 
 
 def in_initial_ideal(m: CoxMonomial) -> bool:

@@ -70,12 +70,6 @@ class DivisorClass:
         self._check_same_lattice(other)
         return DivisorClass(self.d - other.d, tuple(x - y for x, y in zip(self.a, other.a)))
 
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.d, tuple(-x for x in self.a))
-
-    def __rmul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(k * self.d, tuple(k * x for x in self.a))
-
     def __str__(self) -> str:
         terms = []
         if self.d:

@@ -9,22 +9,83 @@ i <= n-2,
 a trinomial of multidegree L with nonzero rational coefficients.  Under
 graded lex with the variable order s1 > ... > sn > e1 > ... > en > l the
 leading monomials are the pairwise-coprime s[i]e[i], so the g[i] form a
-Groebner basis of the ideal they generate; the checks here confirm that
-computationally rather than assuming it.
+Groebner basis of the ideal they generate (Buchberger's first criterion);
+the checks here confirm that computationally rather than assuming it.
+
+A monomial here is the tuple of its (variable, exponent) pairs with a
+positive exponent, sorted by variable, where s1..sn are the variables
+0..n-1, e1..en are n..2n-1 and l is 2n.  A term of an S-pair reduction
+has at most four of them, so each step costs the same at every n.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .coxmono import CoxMonomial, degree_of
 from .oracle import PointConfig, _lead
+from .picard import DivisorClass
 
 
-def _grlex_key(m: CoxMonomial):
-    # variable order s1 > ... > sn > e1 > ... > en > l
-    return (m.total_degree(), m.sigma + m.epsilon + (m.lam,))
+def _grlex_key(m):
+    # total degree, then exponents from the largest variable down; -var ranks
+    # a variable that only one monomial has above the other's next variable
+    return (sum(x for _, x in m), tuple((-v, x) for v, x in m))
+
+
+def _combine(m, k, op):
+    """The monomial with exponents op(m's, k's), variable by variable: the
+    product for operator.add, the quotient for operator.sub, the lcm for max."""
+    out = dict(m)
+    for v, x in k:
+        out[v] = op(out.get(v, 0), x)
+    return tuple(sorted((v, x) for v, x in out.items() if x))
+
+
+def _se(n: int, i: int):
+    """The monomial s[i]e[i]."""
+    return ((i - 1, 1), (n + i - 1, 1))
+
+
+def _degree_parts(m, n: int):
+    """(d, lam, delta) with the degree of m equal to d*L - sum(a[i]*E[i]),
+    a[i] = lam + delta.get(i, 0): delta holds the nonzero sigma[i] - epsilon[i]."""
+    d = lam = 0
+    delta = {}
+    for v, x in m:
+        if v == 2 * n:
+            lam = x
+            d += x
+        elif v < n:
+            d += x
+            delta[v] = delta.get(v, 0) + x
+        else:
+            delta[v - n] = delta.get(v - n, 0) - x
+    return d, lam, {i: x for i, x in delta.items() if x}
+
+
+def _degree_class(parts, n: int) -> DivisorClass:
+    d, lam, delta = parts
+    return DivisorClass(d, tuple(lam + delta.get(i, 0) for i in range(n)))
+
+
+def _same_degree(p, q, n: int) -> bool:
+    if p[0] != q[0]:
+        return False
+    if p[1] == q[1]:
+        return p[2] == q[2]
+    # a different exponent of l shifts every a[i], so every index is read
+    return all(p[1] + p[2].get(i, 0) == q[1] + q[2].get(i, 0) for i in range(n))
+
+
+def _monomial_text(m, n: int) -> str:
+    """m as coxmono.CoxMonomial prints it: l first, then s1..sn, e1..en."""
+    parts = []
+    for v, x in sorted(m, key=lambda pair: pair[0] < 2 * n):
+        name = "l" if v == 2 * n else f"{'se'[v // n]}{v % n + 1}"
+        parts.append(name if x == 1 else f"{name}^{x}")
+    return "*".join(parts) if parts else "1"
 
 
 @dataclass(frozen=True)
@@ -50,13 +111,9 @@ class Relation:
             raise ValueError(
                 "degenerate configuration: relation coefficients must be nonzero"
             )
-        n, i = self.n, self.i
+        n = self.n
         g = GradedPolynomial(
-            {
-                CoxMonomial.gen_s(n, i) * CoxMonomial.gen_e(n, i): Fraction(1),
-                CoxMonomial.gen_s(n, n - 1) * CoxMonomial.gen_e(n, n - 1): self.a_coeff,
-                CoxMonomial.gen_s(n, n) * CoxMonomial.gen_e(n, n): self.b_coeff,
-            }
+            n, {_se(n, self.i): 1, _se(n, n - 1): self.a_coeff, _se(n, n): self.b_coeff}
         )
         object.__setattr__(self, "_polynomial", g)
 
@@ -75,78 +132,63 @@ class Relation:
 
 
 class GradedPolynomial:
-    """Element of the free ring supported in a single multidegree.
+    """Element of the free ring on the 2n + 1 generators, supported in a
+    single multidegree.
 
-    terms maps CoxMonomial to nonzero rational coefficients; mixing degrees
-    raises, so multihomogeneity is a construction invariant.
+    terms maps a monomial, as its sorted (variable, exponent) pairs, to a
+    nonzero rational coefficient; mixing degrees raises, so multihomogeneity
+    is a construction invariant.
     """
 
-    __slots__ = ("terms", "degree")
+    __slots__ = ("n", "terms", "_degree")
 
-    def __init__(self, terms):
+    def __init__(self, n: int, terms):
         clean = {}
-        degree = None
+        first = None
         for m, c in terms.items():
             c = Fraction(c)
             if c == 0:
                 continue
-            dm = degree_of(m)
-            if degree is None:
-                degree = dm
-            elif dm != degree:
+            parts = _degree_parts(m, n)
+            if first is None:
+                first = parts
+            elif not _same_degree(parts, first, n):
                 raise ValueError(
-                    f"terms of mixed multidegree: {dm} vs {degree}"
+                    f"terms of mixed multidegree: {_degree_class(parts, n)} vs {_degree_class(first, n)}"
                 )
             clean[m] = c
+        self.n = n
         self.terms = clean
-        self.degree = degree  # None for the zero polynomial
+        self._degree = first
 
-    @classmethod
-    def from_monomial(cls, m: CoxMonomial, c=1) -> "GradedPolynomial":
-        return cls({m: c})
+    @property
+    def degree(self) -> DivisorClass | None:
+        """The multidegree; None for the zero polynomial."""
+        return None if self._degree is None else _degree_class(self._degree, self.n)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def leading_monomial(self) -> CoxMonomial | None:
+    def leading_monomial(self):
         if not self.terms:
             return None
         return max(self.terms, key=_grlex_key)
 
-    def leading_coeff(self) -> Fraction:
-        lm = self.leading_monomial()
-        return self.terms[lm] if lm is not None else Fraction(0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GradedPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return GradedPolynomial(out)
-
-    def times_monomial(self, mono: CoxMonomial, c=1) -> "GradedPolynomial":
-        c = Fraction(c)
-        return GradedPolynomial({m * mono: c * v for m, v in self.terms.items()})
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]), reverse=True)
 
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]), reverse=True):
+            text = _monomial_text(m, self.n)
             if c == 1:
-                parts.append(str(m))
+                parts.append(text)
             elif c == -1:
-                parts.append(f"-{m}")
+                parts.append(f"-{text}")
             else:
-                parts.append(f"({c})*{m}")
+                parts.append(f"({c})*{text}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self) -> str:
@@ -198,47 +240,52 @@ def normal_form(p: GradedPolynomial, rels) -> GradedPolynomial:
     in the order of rels, whose leading monomial divides it; a term that
     none divides goes to the remainder.  Each g[i] is the one polynomial
     its Relation holds, monic in its leading term s[i]e[i], so the term's
-    own exponents name the g[i] that can divide it: the i <= n-2 with
-    sigma[i] > 0 and epsilon[i] > 0.
+    own variables name the g[i] that can divide it: each s[i] of the term
+    whose e[i] the term has too.
     """
-    # i - 1 -> (position in rels, g[i], its leading monomial), for the first
-    # relation of each index in the order of rels
+    n = p.n
+    # variable of s[i] -> (position in rels, g[i]), for the first relation of
+    # each index in the order of rels
     gens = {}
     for pos, r in enumerate(rels):
-        if r.i - 1 not in gens:
-            g = r.polynomial()
-            gens[r.i - 1] = (pos, g, g.leading_monomial())
+        gens.setdefault(r.i - 1, (pos, r.polynomial()))
     work = dict(p.terms)
     remainder = {}
     while work:
         m = max(work, key=_grlex_key)
         c = work.pop(m)
-        sigma, eps = m.sigma, m.epsilon
-        divisors = [gens[i] for i in range(len(sigma) - 2) if sigma[i] and eps[i] and i in gens]
+        own = dict(m)
+        divisors = [gens[v] for v in own if v in gens and v + n in own]
         if not divisors:
             remainder[m] = c
             continue
-        _, g, lm = min(divisors, key=lambda entry: entry[0])
-        quot = m // lm
+        _, g = min(divisors, key=lambda entry: entry[0])
+        lm = g.leading_monomial()
+        quot = _combine(m, lm, operator.sub)
         # g is monic in its leading term, which cancels the popped one
         for gm, gc in g.terms.items():
             if gm == lm:
                 continue
-            key = quot * gm
-            val = work.get(key, Fraction(0)) - c * gc
+            key = _combine(quot, gm, operator.add)
+            val = work.get(key, 0) - c * gc
             if val:
                 work[key] = val
             else:
                 work.pop(key, None)
-    return GradedPolynomial(remainder)
+    return GradedPolynomial(n, remainder)
 
 
 def s_polynomial(f: GradedPolynomial, g: GradedPolynomial) -> GradedPolynomial:
+    """(lcm / lt(f)) * f - (lcm / lt(g)) * g, lcm that of the leading monomials."""
     lmf, lmg = f.leading_monomial(), g.leading_monomial()
-    lcm = lmf.lcm(lmg)
-    return f.times_monomial(lcm // lmf, 1 / f.leading_coeff()) - g.times_monomial(
-        lcm // lmg, 1 / g.leading_coeff()
-    )
+    lcm = _combine(lmf, lmg, max)
+    out = {}
+    for p, lm, sign in ((f, lmf, 1), (g, lmg, -1)):
+        shift, scale = _combine(lcm, lm, operator.sub), sign / p.terms[lm]
+        for m, c in p.terms.items():
+            key = _combine(m, shift, operator.add)
+            out[key] = out.get(key, 0) + scale * c
+    return GradedPolynomial(f.n, out)
 
 
 def spoly_reduce(i: int, j: int, rels) -> GradedPolynomial:

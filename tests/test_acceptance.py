@@ -10,10 +10,11 @@ from math import comb
 from coxline import oracle, picard, relations
 from coxline.cli import nef_classes, run_sweep
 from coxline.coxmono import (
+    CoxMonomial,
     count_at_level,
+    degree_of,
     enumerate_monomials,
     enumerate_standard_monomials,
-    generators,
     in_initial_ideal,
 )
 from coxline.oracle import PointConfig
@@ -182,7 +183,12 @@ def test_criterion_6_per_level_counts_nonnegative():
 def test_criterion_7_complete_intersection_numerology():
     ok = True
     for n in SWEEP_NS:
-        n_gens = len(generators(n))
+        # l, s1..sn, e1..en, counted by their pairwise distinct degrees
+        zero = (0,) * n
+        units = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)]
+        gens = [CoxMonomial(1, zero, zero)] + [CoxMonomial(0, u, zero) for u in units]
+        gens += [CoxMonomial(0, zero, u) for u in units]
+        n_gens = len({degree_of(m) for m in gens})
         n_rels = len(relations.derive_relations(PointConfig.default(n)))
         if n_gens != 2 * n + 1 or n_rels != n - 2 or n_gens - n_rels != n + 3:
             ok = False

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxline import cli, coxmono
+from coxline import cli, coxmono, relations
 from coxline.cli import main, nef_classes, run_sweep
 from coxline.oracle import PointConfig
 from coxline.picard import DivisorClass
@@ -162,6 +162,31 @@ def test_verify_injected_bad_relation_fails(capsys):
     assert failures
     assert any("relation" in f["check"] for f in failures)
     assert all({"check", "divisor", "expected", "got"} <= set(f) for f in failures)
+
+
+POOL_A4 = PointConfig.collinear((Fraction(-1), Fraction(1, 2), Fraction(3), Fraction(9, 2)), q=(1, 2, 1))
+
+
+@pytest.mark.parametrize(
+    "cfg, spoly_13, spoly_23",
+    [
+        (PointConfig.default(4), "-s3*e3", "(-2)*s3^2*e3^2 + s3*s4*e3*e4"),
+        (POOL_A4, "-s3*e3", "(-8/3)*s3^2*e3^2 + (5/3)*s3*s4*e3*e4"),
+    ],
+)
+def test_a_second_relation_of_one_index_prints_its_normal_forms(cfg, spoly_13, spoly_23):
+    # a perturbed copy of g1 appended as g3 shares its leading monomial
+    # s1*e1 with g1, so the S-pairs with g3 leave a nonzero remainder; the
+    # division uses the first relation of each index, g1
+    rels = relations.derive_relations(cfg)
+    bad = relations.Relation(4, 1, rels[0].a_coeff + 1, rels[0].b_coeff)
+    report = run_sweep(cfg, 1, rels=rels + [bad])
+    assert report.classes_checked == 6
+    assert report.failures == [
+        {"divisor": None, "check": "relation(1) form identity", "expected": "0", "got": "nonzero residual"},
+        {"divisor": None, "check": "spoly(1,3) normal form", "expected": "0", "got": spoly_13},
+        {"divisor": None, "check": "spoly(2,3) normal form", "expected": "0", "got": spoly_23},
+    ]
 
 
 def test_verify_rejects_negative_dmax(capsys):
@@ -386,9 +411,8 @@ def test_basis_failure_names_the_rank(monkeypatch):
 
 
 def test_a_sweep_builds_no_cox_monomial(monkeypatch):
-    # the verify path works on level runs; CoxMonomials are built only where
-    # basis prints them.  The relation checks, whose polynomials are made of
-    # CoxMonomials, are left out by passing no relations.
+    # the verify path works on level runs and the relation checks on sparse
+    # exponents; CoxMonomials are built only where basis prints them
     built = []
     real = coxmono.CoxMonomial.__init__
 
@@ -396,9 +420,27 @@ def test_a_sweep_builds_no_cox_monomial(monkeypatch):
         built.append(args)
         real(self, *args)
 
+    pairs = []
+    real_reduce = relations.spoly_reduce
+
+    def reduce_counted(i, j, rels):
+        pairs.append((i, j))
+        return real_reduce(i, j, rels)
+
     monkeypatch.setattr(coxmono.CoxMonomial, "__init__", counted)
-    report = run_sweep(PointConfig.default(4), 4, rels=[])
-    assert report.ok and report.classes_checked == len(list(nef_classes(4, 4)))
+    monkeypatch.setattr(relations, "spoly_reduce", reduce_counted)
+    cfg = PointConfig.default(5)
+    report = run_sweep(cfg, 4)
+    assert report.ok and report.classes_checked == len(list(nef_classes(5, 4)))
+    assert pairs == [(1, 2), (1, 3), (2, 3)]
+    # nor where a nonzero normal form is printed
+    rels = relations.derive_relations(cfg)
+    bad = run_sweep(cfg, 0, rels=rels + [relations.Relation(5, 1, rels[0].a_coeff + 1, rels[0].b_coeff)])
+    assert [f["check"] for f in bad.failures if f["check"].startswith("spoly")] == [
+        "spoly(1,4) normal form",
+        "spoly(2,4) normal form",
+        "spoly(3,4) normal form",
+    ]
     assert built == []
     # the counter sees the monomials that the basis command prints
     payload = cli._basis_payload(PointConfig.default(4), DivisorClass(2, (1, 0, 0, 0)))

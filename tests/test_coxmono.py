@@ -12,7 +12,6 @@ from coxline.coxmono import (
     degree_of,
     enumerate_monomials,
     enumerate_standard_monomials,
-    generators,
     in_initial_ideal,
 )
 from coxline.oracle import PointConfig, basis_failure
@@ -46,25 +45,24 @@ def sweep_classes(n, d_max, a_range):
 
 
 def test_generator_degrees():
-    n = 4
-    gens = dict(generators(n))
-    assert len(gens) == 2 * n + 1
-    assert degree_of(gens["l"]) == DivisorClass(1, (1,) * n)
-    assert degree_of(gens["s2"]) == DivisorClass(1, (0, 1, 0, 0))
-    assert degree_of(gens["e3"]) == DivisorClass(0, (0, 0, -1, 0))
+    zero = (0, 0, 0, 0)
+    assert degree_of(CoxMonomial(1, zero, zero)) == DivisorClass(1, (1, 1, 1, 1))
+    assert degree_of(CoxMonomial(0, (0, 1, 0, 0), zero)) == DivisorClass(1, (0, 1, 0, 0))
+    assert degree_of(CoxMonomial(0, zero, (0, 0, 1, 0))) == DivisorClass(0, (0, 0, -1, 0))
 
 
 def test_degree_examples():
     n = 3
     L = DivisorClass.line(n)
-    s1e1 = CoxMonomial.gen_s(n, 1) * CoxMonomial.gen_e(n, 1)
+    s1e1 = CoxMonomial(0, (1, 0, 0), (1, 0, 0))
     assert degree_of(s1e1) == L
-    le123 = CoxMonomial.gen_l(n) * CoxMonomial.gen_e(n, 1) * CoxMonomial.gen_e(n, 2) * CoxMonomial.gen_e(n, 3)
+    le123 = CoxMonomial(1, (0, 0, 0), (1, 1, 1))
     assert degree_of(le123) == L
-    assert degree_of(CoxMonomial.unit(n)) == DivisorClass.zero(n)
+    unit = CoxMonomial(0, (0, 0, 0), (0, 0, 0))
+    assert degree_of(unit) == DivisorClass.zero(n)
     # the basis check's arithmetic on a run of length one agrees with
     # building the class, also for a monomial of another n
-    mons = (s1e1, le123, CoxMonomial.unit(n), CoxMonomial(2, (1, 0, 3), (0, 2, 1)), CoxMonomial.unit(4))
+    mons = (s1e1, le123, unit, CoxMonomial(2, (1, 0, 3), (0, 2, 1)), CoxMonomial(0, (0,) * 4, (0,) * 4))
     for m in mons:
         for D in (L, DivisorClass.zero(n), DivisorClass(6, (3, 0, 4)), DivisorClass.zero(4), degree_of(m)):
             assert is_effective(D)
@@ -81,15 +79,20 @@ def test_degree_additive_under_multiplication():
     ]
     for m1 in mons[::5]:
         for m2 in mons[::7]:
-            assert degree_of(m1 * m2) == degree_of(m1) + degree_of(m2)
+            product = CoxMonomial(
+                m1.lam + m2.lam,
+                [x + y for x, y in zip(m1.sigma, m2.sigma)],
+                [x + y for x, y in zip(m1.epsilon, m2.epsilon)],
+            )
+            assert degree_of(product) == degree_of(m1) + degree_of(m2)
 
 
 def test_enumerate_degree_L():
     n = 3
     found = enumerate_standard_monomials(DivisorClass.line(n))
     expected = {
-        CoxMonomial.gen_s(n, 2) * CoxMonomial.gen_e(n, 2),
-        CoxMonomial.gen_s(n, 3) * CoxMonomial.gen_e(n, 3),
+        CoxMonomial(0, (0, 1, 0), (0, 1, 0)),
+        CoxMonomial(0, (0, 0, 1), (0, 0, 1)),
         CoxMonomial(1, (0, 0, 0), (1, 1, 1)),
     }
     assert set(found) == expected
@@ -98,7 +101,7 @@ def test_enumerate_degree_L():
 
 def test_enumerate_zero_class():
     found = enumerate_standard_monomials(DivisorClass.zero(3))
-    assert tuple(found) == (CoxMonomial.unit(3),)
+    assert tuple(found) == (CoxMonomial(0, (0, 0, 0), (0, 0, 0)),)
 
 
 def test_enumerate_frozen_count():
@@ -216,20 +219,6 @@ def test_n2_has_no_initial_ideal():
         assert hilbert_function(D) == len(enumerate_monomials(D))
 
 
-def test_monomial_division_helpers():
-    n = 3
-    m = CoxMonomial(2, (1, 0, 3), (0, 2, 1))
-    one = CoxMonomial.unit(n)
-    assert one.divides(m)
-    assert m // one == m
-    assert (m // m) == one
-    other = CoxMonomial(1, (1, 0, 1), (0, 1, 0))
-    assert other.divides(m)
-    assert (m // other) * other == m
-    assert not m.divides(other)
-    assert m.lcm(other) == m
-
-
 def test_monomial_validation():
     with pytest.raises(ValueError):
         CoxMonomial(-1, (0, 0), (0, 0))
@@ -242,7 +231,6 @@ def test_monomial_validation():
 
 
 def test_monomial_str():
-    n = 3
-    assert str(CoxMonomial.unit(n)) == "1"
+    assert str(CoxMonomial(0, (0, 0, 0), (0, 0, 0))) == "1"
     m = CoxMonomial(2, (0, 1, 0), (0, 0, 3))
     assert str(m) == "l^2*s2*e3^3"

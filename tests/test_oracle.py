@@ -244,12 +244,13 @@ def test_projectively_equal_configs_are_equal(monkeypatch, capsys):
 def line_form(cfg, i):
     """The line through q and p[i] as the oracle prints it: the realized
     form of s[i], with leading coefficient 1."""
-    return realize_monomial(cfg, CoxMonomial.gen_s(cfg.n, i + 1))
+    zero = (0,) * cfg.n
+    return realize_monomial(cfg, CoxMonomial(0, zero[:i] + (1,) + zero[i + 1 :], zero))
 
 
 def test_line_forms_default_config():
     assert CFG3.int_lines == ((1, 0, 0), (1, 0, -1), (1, 0, -2))
-    assert str(realize_monomial(CFG3, CoxMonomial.gen_l(3))) == "y"
+    assert str(realize_monomial(CFG3, CoxMonomial(1, (0, 0, 0), (0, 0, 0)))) == "y"
     assert [str(line_form(CFG3, i)) for i in range(3)] == ["x", "x - z", "x - 2*z"]
 
 
@@ -352,12 +353,11 @@ def test_sparse_rank_against_independent_elimination():
 
 
 def test_realize_monomial_examples():
-    n = 3
-    s1e1 = CoxMonomial.gen_s(n, 1) * CoxMonomial.gen_e(n, 1)
+    s1e1 = CoxMonomial(0, (1, 0, 0), (1, 0, 0))
     assert str(realize_monomial(CFG3, s1e1)) == "x"
     le123 = CoxMonomial(1, (0, 0, 0), (1, 1, 1))
     assert str(realize_monomial(CFG3, le123)) == "y"
-    assert Form.of(realize_monomial(CFG3, CoxMonomial.unit(n))) == Form.constant(1)
+    assert Form.of(realize_monomial(CFG3, CoxMonomial(0, (0, 0, 0), (0, 0, 0)))) == Form.constant(1)
 
 
 def test_realized_forms_vanish_to_the_required_order():
@@ -857,7 +857,7 @@ def test_a_head_in_the_initial_ideal_is_not_certified():
     mons = enumerate_standard_monomials(D)
     assert oracle._level_blocks_independent(cfg)
     assert oracle.basis_failure(cfg, D, mons) is None
-    s1e1 = CoxMonomial.gen_s(3, 1) * CoxMonomial.gen_e(3, 1)
+    s1e1 = CoxMonomial(0, (1, 0, 0), (1, 0, 0))
     swapped = [s1e1 if m.sigma == (0, 0, 1) else m for m in mons]
     assert in_initial_ideal(s1e1) and len(swapped) == len(mons)
     assert not oracle._runs_certified(cfg, [coxmono.StandardRun.of(m) for m in swapped])

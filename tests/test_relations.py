@@ -29,8 +29,31 @@ from coxline.relations import (
 from plane_forms import Form
 
 
+def sparse(m):
+    """A CoxMonomial as relations holds a monomial: its (variable, exponent)
+    pairs, s1..sn, e1..en, l numbered 0..2n, sorted by variable."""
+    return tuple((v, x) for v, x in enumerate(m.sigma + m.epsilon + (m.lam,)) if x)
+
+
+def dense(m, n):
+    """The CoxMonomial of the sparse monomial m."""
+    exps = [0] * (2 * n + 1)
+    for v, x in m:
+        exps[v] = x
+    return CoxMonomial(exps[2 * n], exps[:n], exps[n : 2 * n])
+
+
+def var(n, name, i=1):
+    """The sparse monomial of one generator: s[i], e[i] or l."""
+    return (({"s": i - 1, "e": n + i - 1, "l": 2 * n}[name], 1),)
+
+
 def mono_se(n, i):
-    return CoxMonomial.gen_s(n, i) * CoxMonomial.gen_e(n, i)
+    return ((i - 1, 1), (n + i - 1, 1))
+
+
+def monomial_poly(n, m):
+    return GradedPolynomial(n, {m: 1})
 
 
 def test_derive_relations_default_n3():
@@ -98,29 +121,44 @@ def test_leading_terms_are_coprime_diagonal():
         rels = derive_relations(PointConfig.default(n))
         lms = [r.polynomial().leading_monomial() for r in rels]
         assert lms == [mono_se(n, i) for i in range(1, n - 1)]
+        # Buchberger's first criterion: no two leading monomials share a
+        # variable, so every S-pair reduces to 0
         for m1, m2 in itertools.combinations(lms, 2):
-            assert m1.lcm(m2) == m1 * m2  # relatively prime
+            assert not {v for v, _ in m1} & {v for v, _ in m2}
 
 
 def test_grlex_order_respects_variable_priority():
     n = 4
     assert _grlex_key(mono_se(n, 1)) > _grlex_key(mono_se(n, 3))
-    assert _grlex_key(CoxMonomial.gen_s(n, 4)) > _grlex_key(CoxMonomial.gen_e(n, 1))
-    assert _grlex_key(CoxMonomial.gen_e(n, 4)) > _grlex_key(CoxMonomial.gen_l(n))
+    assert _grlex_key(var(n, "s", 4)) > _grlex_key(var(n, "e", 1))
+    assert _grlex_key(var(n, "e", 4)) > _grlex_key(var(n, "l"))
     # degree dominates
-    assert _grlex_key(CoxMonomial.gen_l(n) * CoxMonomial.gen_l(n)) > _grlex_key(
-        CoxMonomial.gen_s(n, 1)
-    )
+    assert _grlex_key(((2 * n, 2),)) > _grlex_key(var(n, "s", 1))
+
+
+def dense_grlex_key(m):
+    # the order on the full exponent vector s1..sn, e1..en, l
+    return (m.lam + sum(m.sigma) + sum(m.epsilon), m.sigma + m.epsilon + (m.lam,))
+
+
+def test_grlex_order_matches_the_dense_exponent_order():
+    mons = [
+        CoxMonomial(lam, sigma, eps)
+        for lam in range(3)
+        for sigma in itertools.product(range(3), repeat=3)
+        for eps in itertools.product(range(2), repeat=3)
+    ]
+    by_dense = sorted(mons, key=dense_grlex_key)
+    assert sorted(mons, key=lambda m: _grlex_key(sparse(m))) == by_dense
+    assert [dense(sparse(m), 3) for m in by_dense] == by_dense
 
 
 def test_normal_form_one_step():
     cfg = PointConfig.default(3)
     rels = derive_relations(cfg)
     n = 3
-    nf = normal_form(GradedPolynomial.from_monomial(mono_se(n, 1)), rels)
-    expected = GradedPolynomial(
-        {mono_se(n, 2): Fraction(2), mono_se(n, 3): Fraction(-1)}
-    )
+    nf = normal_form(monomial_poly(n, mono_se(n, 1)), rels)
+    expected = GradedPolynomial(n, {mono_se(n, 2): Fraction(2), mono_se(n, 3): Fraction(-1)})
     assert nf == expected
 
 
@@ -128,7 +166,7 @@ def test_normal_form_fixed_points_and_generators():
     cfg = PointConfig.default(4)
     rels = derive_relations(cfg)
     n = 4
-    standard = GradedPolynomial.from_monomial(mono_se(n, 3))
+    standard = monomial_poly(n, mono_se(n, 3))
     assert normal_form(standard, rels) == standard
     for r in rels:
         assert normal_form(r.polynomial(), rels).is_zero()
@@ -139,8 +177,8 @@ def test_normal_form_idempotent_and_standard_supported():
     rels = derive_relations(cfg)
     for D in (DivisorClass.line(4), DivisorClass(2, (1, 1, 0, 0)), DivisorClass(2, (1, 1, 1, 1))):
         for m in enumerate_monomials(D):
-            nf = normal_form(GradedPolynomial.from_monomial(m), rels)
-            assert not any(in_initial_ideal(mono) for mono in nf.terms)
+            nf = normal_form(monomial_poly(4, sparse(m)), rels)
+            assert not any(in_initial_ideal(dense(mono, 4)) for mono in nf.terms)
             assert normal_form(nf, rels) == nf
 
 
@@ -164,8 +202,11 @@ def test_s_polynomial_cancels_leading_terms():
     rels = derive_relations(PointConfig.default(5))
     g1, g2 = rels[0].polynomial(), rels[1].polynomial()
     s = s_polynomial(g1, g2)
-    lcm = g1.leading_monomial().lcm(g2.leading_monomial())
+    # the leading monomials s1*e1 and s2*e2 are coprime: their lcm is the product
+    lcm = ((0, 1), (1, 1), (5, 1), (6, 1))
+    assert s.degree == DivisorClass.line(5) + DivisorClass.line(5)
     assert all(_grlex_key(m) < _grlex_key(lcm) for m in s.terms)
+    assert str(s) == "(3)*s1*s4*e1*e4 + (-2)*s1*s5*e1*e5 + (-4)*s2*s4*e2*e4 + (3)*s2*s5*e2*e5"
 
 
 def test_verify_relation_geometrically_perturbed_fails():
@@ -187,10 +228,10 @@ def test_quotient_dimension_matches_standard_count():
                 if not is_nef(D):
                     continue
                 standard = list(enumerate_standard_monomials(D))
-                index = {m: k for k, m in enumerate(standard)}
+                index = {sparse(m): k for k, m in enumerate(standard)}
                 vectors = []
                 for m in enumerate_monomials(D):
-                    nf = normal_form(GradedPolynomial.from_monomial(m), rels)
+                    nf = normal_form(monomial_poly(n, sparse(m)), rels)
                     # the rational row, scaled to integers for the oracle's rank
                     den = lcm(*(c.denominator for c in nf.terms.values()))
                     vectors.append({index[mono]: int(c * den) for mono, c in nf.terms.items()})
@@ -200,15 +241,26 @@ def test_quotient_dimension_matches_standard_count():
 
 def test_graded_polynomial_rejects_mixed_degrees():
     n = 3
-    with pytest.raises(ValueError):
-        GradedPolynomial({CoxMonomial.gen_s(n, 1): 1, CoxMonomial.gen_l(n): 1})
+    with pytest.raises(ValueError, match="mixed multidegree"):
+        GradedPolynomial(n, {var(n, "s", 1): 1, var(n, "l"): 1})
+    # the same d and exponent of l: s1*e2 has degree L - E1 + E2
+    with pytest.raises(ValueError, match="L - E1 \\+ E2 vs L$"):
+        GradedPolynomial(n, {mono_se(n, 1): 1, ((0, 1), (n + 1, 1)): 1})
+    # the same d, another exponent of l: l*e1*e2 has degree L - E3
+    with pytest.raises(ValueError, match="L - E3 vs L$"):
+        GradedPolynomial(n, {mono_se(n, 1): 1, ((n, 1), (n + 1, 1), (2 * n, 1)): 1})
+    # classes equal across exponents of l: s1*e1 and l*e1*e2*e3 both have degree L
+    p = GradedPolynomial(n, {mono_se(n, 1): 1, ((n, 1), (n + 1, 1), (n + 2, 1), (2 * n, 1)): 1})
+    assert p.degree == DivisorClass.line(n)
+    assert str(p) == "l*e1*e2*e3 + s1*e1"
 
 
 def test_graded_polynomial_drops_zero_terms():
     n = 3
-    p = GradedPolynomial({mono_se(n, 1): 0, mono_se(n, 2): 1})
+    p = GradedPolynomial(n, {mono_se(n, 1): 0, mono_se(n, 2): 1})
     assert list(p.terms) == [mono_se(n, 2)]
-    assert GradedPolynomial({mono_se(n, 1): 0}).is_zero()
+    zero = GradedPolynomial(n, {mono_se(n, 1): 0})
+    assert zero.is_zero() and zero.degree is None and str(zero) == "0"
 
 
 def test_relation_json_schema():
@@ -285,13 +337,12 @@ def test_division_agrees_with_sympy(pool, n):
     gens = (*s_vars, *e_vars, l_var)
 
     def to_sympy(p):
+        # the variables s1..sn, e1..en, l are numbered 0..2n, as in gens
         total = sympy.Integer(0)
         for m, c in p.terms.items():
-            term = sympy.Rational(c.numerator, c.denominator) * l_var**m.lam
-            for x, k in zip(s_vars, m.sigma):
-                term *= x**k
-            for x, k in zip(e_vars, m.epsilon):
-                term *= x**k
+            term = sympy.Rational(c.numerator, c.denominator)
+            for v, k in m:
+                term *= gens[v] ** k
             total += term
         return sympy.expand(total)
 
@@ -301,7 +352,7 @@ def test_division_agrees_with_sympy(pool, n):
 
     line = DivisorClass.line(n)
     classes = (line, line + line, DivisorClass(2, (1, 1) + (0,) * (n - 2)))
-    checked = [GradedPolynomial.from_monomial(m) for D in classes for m in enumerate_monomials(D)]
+    checked = [monomial_poly(n, sparse(m)) for D in classes for m in enumerate_monomials(D)]
     checked += [s_polynomial(f.polynomial(), g.polynomial()) for f, g in itertools.combinations(rels, 2)]
     for p in checked:
         _, remainder = sympy.reduced(to_sympy(p), basis, *gens, order="grlex")

@@ -1,7 +1,8 @@
-"""Time cold single-class queries and sweeps at growing d on two checkouts.
+"""Time cold single-class queries, sweeps and relation checks at growing
+size on two checkouts.
 
     python3 tools/bench_scaling.py --parent PARENT_DIR --change CHANGE_DIR \\
-        --out BENCH_scaling.json [--timeout 600]
+        --out BENCH_scaling.json [--timeout 600] [--series NAME]
 
 Both directories are coxline checkouts.  Every case runs once per checkout
 in a fresh process (the parent first on even case numbers and the change
@@ -12,22 +13,29 @@ alike):
   d-5) at d = 10, 20, 30, 40, 50, on the default n = 3 configuration and
   on the README's rational one (t = 0, 1/2, 7, q = 1 : 2 : 1); at d = 30
   and 40 these include `basis "30 1 25 25"` and `basis "40 20 10 10"`;
-- `verify` sweeps of that rational configuration at --dmax 12 and 16.
+- `verify` sweeps of that rational configuration at --dmax 12 and 16;
+- `--json --n N relations` on the default configuration at n = 15, 30,
+  45 and 60 (the series `relations`, whose size column d holds n).
+
+--series NAME runs only the cases of one series, e.g. `relations` or
+`basis half-quarter`.
 
 The child process wraps a few of coxline's functions in timers and reports,
 per stage, the calls and the self time (time inside the function minus the
 wrapped functions it calls): picard.h0, picard.strip_base_components,
 coxmono.enumerate_standard_monomials, coxmono.count_standard_monomials_closed_form,
 oracle.constraint_rows, oracle.h0_rank, oracle.realize_run (or, in a
-checkout without it, oracle.realize_monomial), oracle.verify_basis_independence
-and oracle._rank_of_sparse_rows, whose inputs' largest matrix and
+checkout without it, oracle.realize_monomial), oracle.verify_basis_independence,
+relations.derive_relations, relations.spoly_reduce and
+oracle._rank_of_sparse_rows, whose inputs' largest matrix and
 coefficient bit length are recorded too.  A generator such as realize_run
 is timed over each of its steps, and counts one call per value it yields.  A
 case that runs past --timeout is recorded as such.  Per case the output
 gives both sides' figures, whether their stdout and exit codes are
 byte-identical, and the parent/change ratio of the in-process time; per
-series it gives the slope of log(time) against log(d), or null when the
-series never reaches FIT_FLOOR_S or has fewer than 3 timed points.  The
+series it gives the slope of log(time) against log(d) (log(n) for
+`relations`), or null when the series never reaches FIT_FLOOR_S or has
+fewer than 3 timed points.  The
 `verify` sweep series have 2 points (SWEEP_DMAX), and a fit through two
 single runs moves with one slow run, so they get no slope; compare their
 per-case times instead.  Standard library only.
@@ -53,6 +61,7 @@ SHAPES = {
     "one-two-large": lambda d: (d, 1, d - 5, d - 5),
 }
 SWEEP_DMAX = (12, 16)
+RELATION_NS = (15, 30, 45, 60)
 # a series whose largest time is below this is flat CLI work that does not
 # grow with d, so an exponent fitted to it is noise
 FIT_FLOOR_S = 0.1
@@ -60,7 +69,7 @@ FIT_FLOOR_S = 0.1
 CHILD = r"""
 import inspect, io, json, sys, time
 from contextlib import redirect_stdout
-from coxline import cli, coxmono, oracle, picard
+from coxline import cli, coxmono, oracle, picard, relations
 
 STAGES = {
     "picard.h0": (picard, "h0"),
@@ -72,6 +81,8 @@ STAGES = {
     "oracle.realize": (oracle, "realize_run" if hasattr(oracle, "realize_run") else "realize_monomial"),
     "oracle.basis_verify": (oracle, "verify_basis_independence"),
     "oracle.rank": (oracle, "_rank_of_sparse_rows"),
+    "relations.derive_relations": (relations, "derive_relations"),
+    "relations.spoly_reduce": (relations, "spoly_reduce"),
 }
 stats = {name: {"calls": 0, "self_s": 0.0} for name in STAGES}
 rank = {"max_rows": 0, "max_cols": 0, "max_input_bits": 0}
@@ -170,6 +181,9 @@ def cases(readme_cfg):
     for dmax in SWEEP_DMAX:
         yield {"config": "readme-rational", "series": "verify sweep", "d": dmax,
                "argv": configs["readme-rational"] + ["verify", "--dmax", str(dmax)]}
+    for n in RELATION_NS:
+        yield {"config": "default", "series": "relations", "d": n,
+               "argv": ["--json", "--n", str(n), "relations"]}
 
 
 def slope(points):
@@ -190,6 +204,7 @@ def main(argv=None):
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--timeout", type=float, default=600, help="seconds per case and side")
     parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--series", help="run only the cases of this series")
     args = parser.parse_args(argv)
 
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -198,7 +213,10 @@ def main(argv=None):
         with open(readme_cfg, "w") as fh:
             fh.write(README_CFG)
         results = []
-        for k, case in enumerate(cases(readme_cfg)):
+        chosen = [c for c in cases(readme_cfg) if args.series in (None, c["series"])]
+        if not chosen:
+            parser.error(f"no series named {args.series!r}")
+        for k, case in enumerate(chosen):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
                 case[side] = run_case(sides[side], case["argv"], args.timeout)
