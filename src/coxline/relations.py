@@ -248,6 +248,8 @@ def normal_form(p: GradedPolynomial, rels) -> GradedPolynomial:
     # each index in the order of rels
     gens = {}
     for pos, r in enumerate(rels):
+        if r.n != n:
+            raise ValueError("mixed number of points")
         gens.setdefault(r.i - 1, (pos, r.polynomial()))
     work = dict(p.terms)
     remainder = {}
@@ -277,6 +279,8 @@ def normal_form(p: GradedPolynomial, rels) -> GradedPolynomial:
 
 def s_polynomial(f: GradedPolynomial, g: GradedPolynomial) -> GradedPolynomial:
     """(lcm / lt(f)) * f - (lcm / lt(g)) * g, lcm that of the leading monomials."""
+    if f.n != g.n:
+        raise ValueError("mixed number of points")
     lmf, lmg = f.leading_monomial(), g.leading_monomial()
     lcm = _combine(lmf, lmg, max)
     out = {}

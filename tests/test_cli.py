@@ -189,6 +189,13 @@ def test_a_second_relation_of_one_index_prints_its_normal_forms(cfg, spoly_13, s
     ]
 
 
+def test_a_relation_of_another_n_is_rejected():
+    cfg = PointConfig.default(4)
+    other = relations.derive_relations(PointConfig.default(5))[0]
+    with pytest.raises(ValueError, match="config has 4 points but relation has n = 5"):
+        run_sweep(cfg, 1, rels=relations.derive_relations(cfg) + [other])
+
+
 def test_verify_rejects_negative_dmax(capsys):
     code, _, err = run_cli(capsys, "verify", "--dmax", "-1")
     assert code == 2

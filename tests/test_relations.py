@@ -198,6 +198,19 @@ def test_spoly_reduce_validates_indices():
         spoly_reduce(1, 4, rels)
 
 
+def test_relations_of_another_n_are_rejected():
+    # variable n + i - 1 is e[i] for one n and s or e of another index for
+    # the next, so relations built for different n must not be combined
+    g4 = derive_relations(PointConfig.default(4))
+    g5 = derive_relations(PointConfig.default(5))
+    with pytest.raises(ValueError, match="mixed number of points"):
+        s_polynomial(g4[0].polynomial(), g5[1].polynomial())
+    with pytest.raises(ValueError, match="mixed number of points"):
+        spoly_reduce(1, 2, [g4[0], g5[1]])
+    with pytest.raises(ValueError, match="mixed number of points"):
+        normal_form(monomial_poly(4, mono_se(4, 1)), g4 + g5[:1])
+
+
 def test_s_polynomial_cancels_leading_terms():
     rels = derive_relations(PointConfig.default(5))
     g1, g2 = rels[0].polynomial(), rels[1].polynomial()

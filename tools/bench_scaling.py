@@ -2,7 +2,7 @@
 size on two checkouts.
 
     python3 tools/bench_scaling.py --parent PARENT_DIR --change CHANGE_DIR \\
-        --out BENCH_scaling.json [--timeout 600] [--series NAME]
+        --out BENCH_scaling.json [--timeout 600]
 
 Both directories are coxline checkouts.  Every case runs once per checkout
 in a fresh process (the parent first on even case numbers and the change
@@ -16,9 +16,6 @@ alike):
 - `verify` sweeps of that rational configuration at --dmax 12 and 16;
 - `--json --n N relations` on the default configuration at n = 15, 30,
   45 and 60 (the series `relations`, whose size column d holds n).
-
---series NAME runs only the cases of one series, e.g. `relations` or
-`basis half-quarter`.
 
 The child process wraps a few of coxline's functions in timers and reports,
 per stage, the calls and the self time (time inside the function minus the
@@ -204,7 +201,6 @@ def main(argv=None):
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--timeout", type=float, default=600, help="seconds per case and side")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--series", help="run only the cases of this series")
     args = parser.parse_args(argv)
 
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
@@ -213,10 +209,7 @@ def main(argv=None):
         with open(readme_cfg, "w") as fh:
             fh.write(README_CFG)
         results = []
-        chosen = [c for c in cases(readme_cfg) if args.series in (None, c["series"])]
-        if not chosen:
-            parser.error(f"no series named {args.series!r}")
-        for k, case in enumerate(chosen):
+        for k, case in enumerate(cases(readme_cfg)):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
                 case[side] = run_case(sides[side], case["argv"], args.timeout)
