@@ -13,12 +13,12 @@ sigma[i] and a positive epsilon[i].  Their count in each degree is the
 multigraded Hilbert function of the quotient ring.
 
 A CoxMonomial is only a value to enumerate and to print; the relations'
-arithmetic works on sparse exponents of its own (coxline.relations).
+arithmetic works on sparse exponents of its own (coxline.relations).  Both
+print through monomial_text, so the text of a monomial is written here.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,34 +55,29 @@ class CoxMonomial:
         return len(self.sigma)
 
     def __str__(self) -> str:
-        parts = []
-        if self.lam:
-            parts.append("l" if self.lam == 1 else f"l^{self.lam}")
-        for name, exps in (("s", self.sigma), ("e", self.epsilon)):
-            for i, x in enumerate(exps, start=1):
-                if x:
-                    parts.append(f"{name}{i}" if x == 1 else f"{name}{i}^{x}")
-        return "*".join(parts) if parts else "1"
+        return monomial_text(self.n, ((2 * self.n, self.lam), *enumerate(self.sigma + self.epsilon)))
 
     def to_json(self) -> dict:
         return {"l": self.lam, "s": list(self.sigma), "e": list(self.epsilon)}
 
 
-def degree_of(m: CoxMonomial) -> DivisorClass:
-    return DivisorClass(
-        m.lam + sum(m.sigma),
-        tuple(m.lam + s - e for s, e in zip(m.sigma, m.epsilon)),
-    )
-
-
-def in_initial_ideal(m: CoxMonomial) -> bool:
-    """True iff some s[i]e[i] with i <= n-2 divides m."""
-    return head_in_initial_ideal(m.sigma[:-2], m.epsilon[:-2])
+def monomial_text(n: int, exps) -> str:
+    """The text of l^lam * s^sigma * e^epsilon from its (variable, exponent)
+    pairs, s1..sn, e1..en, l numbered 0..2n, in the order they print: l
+    first, then s1..sn, e1..en.  Each factor with a positive exponent is its
+    name or name^exponent, joined by '*'; '1' when there is none."""
+    parts = []
+    for v, x in exps:
+        if x:
+            name = "l" if v == 2 * n else f"{'se'[v // n]}{v % n + 1}"
+            parts.append(name if x == 1 else f"{name}^{x}")
+    return "*".join(parts) if parts else "1"
 
 
 def head_in_initial_ideal(sigma_head, eps_head) -> bool:
     """True iff some s[i]e[i] divides s^sigma_head * e^eps_head, the first
-    n - 2 exponents of a monomial: the whole of what in_initial_ideal reads."""
+    n - 2 exponents of a monomial: whether the monomial lies in the initial
+    ideal (s[1]e[1], ..., s[n-2]e[n-2])."""
     for s, e in zip(sigma_head, eps_head):
         if s > 0 and e > 0:
             return True
@@ -126,13 +121,11 @@ class StandardRun(NamedTuple):
             yield CoxMonomial(lam, head + (s, rest - s), eps + (s + off_pen, rest - s + off_last))
 
 
-class StandardMonomials(Sequence):
+class StandardMonomials:
     """The standard monomials of one class, held as their level runs.
 
     len() is the number of monomials, counted when the runs were listed.
-    Iterating or indexing builds the CoxMonomials on demand, in canonical
-    order; a slice is a tuple.  An index walks the whole sequence, so take
-    tuple(...) once to index it repeatedly.
+    Iterating builds the CoxMonomials on demand, in canonical order.
     """
 
     __slots__ = ("runs", "_count")
@@ -147,9 +140,6 @@ class StandardMonomials(Sequence):
     def __iter__(self):
         for run in self.runs:
             yield from run.monomials()
-
-    def __getitem__(self, k):
-        return tuple(self)[k]
 
 
 def enumerate_standard_monomials(D: DivisorClass) -> StandardMonomials:
@@ -215,29 +205,3 @@ def count_standard_monomials_closed_form(D: DivisorClass) -> int:
             raise ArithmeticError(f"per-level count went negative on a nef class: {D}, lam={lam}")
         total += s
     return total
-
-
-def enumerate_monomials(D: DivisorClass) -> list[CoxMonomial]:
-    """All monomials of the free ring of degree exactly D (no initial-ideal cut)."""
-    n, d, a = D.n, D.d, D.a
-    out = []
-    for lam in range(0, d + 1):
-        lows = [max(ai - lam, 0) for ai in a]
-        budget = d - lam - sum(lows)
-        if budget < 0:
-            continue
-        for extra in _weak_compositions(budget, n):
-            sigma = tuple(lo + x for lo, x in zip(lows, extra))
-            eps = tuple(s - ai + lam for s, ai in zip(sigma, a))
-            out.append(CoxMonomial(lam, sigma, eps))
-    return out
-
-
-def _weak_compositions(total: int, parts: int):
-    """All non-negative integer vectors of given length summing to total, lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest

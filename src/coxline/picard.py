@@ -102,9 +102,6 @@ class EffectiveCoords:
     m: int
     c: tuple[int, ...]
 
-    def divisor(self) -> DivisorClass:
-        return DivisorClass(self.m, tuple(self.m - ci for ci in self.c))
-
 
 @dataclass(frozen=True)
 class NefCoords:
@@ -112,9 +109,6 @@ class NefCoords:
 
     b: int
     b_i: tuple[int, ...]
-
-    def divisor(self) -> DivisorClass:
-        return DivisorClass(self.b + sum(self.b_i), tuple(self.b_i))
 
 
 @dataclass(frozen=True)
@@ -127,25 +121,8 @@ class FixedPart:
     l: int
     e: tuple[int, ...]
 
-    def is_empty(self) -> bool:
-        return self.l == 0 and not any(self.e)
-
-    def divisor(self) -> DivisorClass:
-        return DivisorClass(self.l, tuple(self.l - ei for ei in self.e))
-
     def to_json(self) -> dict:
         return {"l": self.l, "e": list(self.e)}
-
-
-def intersect(A: DivisorClass, B: DivisorClass) -> int:
-    """Intersection number under L.L = 1, E[i].E[i] = -1, mixed products 0."""
-    A._check_same_lattice(B)
-    return A.d * B.d - sum(x * y for x, y in zip(A.a, B.a))
-
-
-def canonical_class(n: int) -> DivisorClass:
-    """K = -3L + E[1] + ... + E[n]; never effective on these surfaces."""
-    return DivisorClass(-3, (-1,) * n)
 
 
 def choose2(k: int) -> int:

@@ -24,6 +24,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .coxmono import monomial_text
 from .oracle import PointConfig, _lead
 from .picard import DivisorClass
 
@@ -77,15 +78,6 @@ def _same_degree(p, q, n: int) -> bool:
         return p[2] == q[2]
     # a different exponent of l shifts every a[i], so every index is read
     return all(p[1] + p[2].get(i, 0) == q[1] + q[2].get(i, 0) for i in range(n))
-
-
-def _monomial_text(m, n: int) -> str:
-    """m as coxmono.CoxMonomial prints it: l first, then s1..sn, e1..en."""
-    parts = []
-    for v, x in sorted(m, key=lambda pair: pair[0] < 2 * n):
-        name = "l" if v == 2 * n else f"{'se'[v // n]}{v % n + 1}"
-        parts.append(name if x == 1 else f"{name}^{x}")
-    return "*".join(parts) if parts else "1"
 
 
 @dataclass(frozen=True)
@@ -182,7 +174,8 @@ class GradedPolynomial:
             return "0"
         parts = []
         for m, c in sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]), reverse=True):
-            text = _monomial_text(m, self.n)
+            # m ascends by variable, so l, variable 2n, is last when present
+            text = monomial_text(self.n, m[-1:] + m[:-1] if m and m[-1][0] == 2 * self.n else m)
             if c == 1:
                 parts.append(text)
             elif c == -1:

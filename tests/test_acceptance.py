@@ -9,16 +9,10 @@ from math import comb
 
 from coxline import oracle, picard, relations
 from coxline.cli import nef_classes, run_sweep
-from coxline.coxmono import (
-    CoxMonomial,
-    count_at_level,
-    degree_of,
-    enumerate_monomials,
-    enumerate_standard_monomials,
-    in_initial_ideal,
-)
+from coxline.coxmono import CoxMonomial, count_at_level, enumerate_standard_monomials
 from coxline.oracle import PointConfig
 from coxline.picard import DivisorClass
+from reference import degree_of, enumerate_monomials, in_initial_ideal
 
 SWEEP_NS = (2, 3, 4, 5, 6)
 D_MAX = 8

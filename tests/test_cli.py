@@ -7,10 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+from child_env import child_env
 from coxline import cli, coxmono, relations
 from coxline.cli import main, nef_classes, run_sweep
 from coxline.oracle import PointConfig
 from coxline.picard import DivisorClass
+
+
+def run_module(*argv):
+    """python -m coxline in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "coxline", *argv], capture_output=True, text=True, env=child_env())
 
 
 def run_cli(capsys, *argv):
@@ -252,11 +258,7 @@ def test_zero_denominator_in_config_is_a_config_error(tmp_path):
     for key, text in (("t", "t = 0, 1/0, 7\n"), ("q", "t = 0, 1/2, 7\nq = 1, 2/0, 1\n")):
         cfgfile = tmp_path / f"zero-{key}.cfg"
         cfgfile.write_text(text)
-        proc = subprocess.run(
-            [sys.executable, "-m", "coxline", "--config", str(cfgfile), "relations"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("--config", str(cfgfile), "relations")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert str(cfgfile) in proc.stderr and f"{key} " in proc.stderr
@@ -272,7 +274,7 @@ def test_bad_literal_names_where_it_is(tmp_path):
         cases.append((["--config", str(cfgfile), "relations"], [str(cfgfile), f"{key} "]))
     cases.append((["verify", "--n-list", "3,x"], ["--n-list", "'3,x'"]))
     for argv, named in cases:
-        proc = subprocess.run([sys.executable, "-m", "coxline", *argv], capture_output=True, text=True)
+        proc = run_module(*argv)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert all(text in proc.stderr for text in named), proc.stderr
@@ -312,9 +314,7 @@ def test_coincident_points_are_not_called_collinear(tmp_path):
     # 1/2 and 2/4 are the same point; the message says so, with exit 2
     cfgfile = tmp_path / "coincident.cfg"
     cfgfile.write_text("t = 0, 1/2, 2/4\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "coxline", "--config", str(cfgfile), "h0", "1 0 0 0"], capture_output=True, text=True
-    )
+    proc = run_module("--config", str(cfgfile), "h0", "1 0 0 0")
     assert proc.returncode == 2
     assert proc.stderr == "error: p2 and p3 coincide\n"
     with pytest.raises(ValueError, match="p1 and p2 coincide"):
@@ -371,11 +371,7 @@ def test_run_sweep_counts_classes():
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "coxline", "--json", "h0", "1 0 0 0"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("--json", "h0", "1 0 0 0")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["h0"] == 3
 
@@ -410,7 +406,12 @@ def test_basis_failure_names_the_rank(monkeypatch):
     # the last monomial replaced by a repeat of the first: degree, vanishing
     # and count pass, the rank does not
     real = cli.enumerate_standard_monomials
-    monkeypatch.setattr(cli, "enumerate_standard_monomials", lambda D: real(D)[:-1] + real(D)[:1])
+
+    def first_repeated(D):
+        mons = tuple(real(D))
+        return mons[:-1] + mons[:1]
+
+    monkeypatch.setattr(cli, "enumerate_standard_monomials", first_repeated)
     report = run_sweep(PointConfig.default(3), 3)
     got = basis_failures(report)
     assert got and set(got) == {"rank"}

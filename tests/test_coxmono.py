@@ -9,13 +9,12 @@ from coxline.coxmono import (
     StandardRun,
     count_at_level,
     count_standard_monomials_closed_form,
-    degree_of,
-    enumerate_monomials,
     enumerate_standard_monomials,
-    in_initial_ideal,
+    head_in_initial_ideal,
 )
 from coxline.oracle import PointConfig, basis_failure
 from coxline.picard import DivisorClass, chi, is_effective, is_nef
+from reference import degree_of, enumerate_monomials, in_initial_ideal
 
 
 def brute_standard_monomials(D):
@@ -127,9 +126,6 @@ def test_standard_monomials_are_held_as_level_runs():
     # one run per level lam, in ascending lam, of lengths (1, 3, 2, 1)
     assert [run.lam for run in mons.runs] == [0, 1, 2, 3]
     assert [len(tuple(run.monomials())) for run in mons.runs] == [1, 3, 2, 1]
-    assert mons[0] == listed[0] and mons[-1] == listed[-1]
-    assert type(mons[1:3]) is tuple and mons[1:3] == listed[1:3]
-    assert mons[:-1] + mons[:1] == listed[:-1] + listed[:1]
     for m in listed:
         assert tuple(StandardRun.of(m).monomials()) == (m,)
 
@@ -146,6 +142,19 @@ def test_enumerated_monomials_have_the_degree_and_avoid_initial_ideal():
         for m in enumerate_standard_monomials(D):
             assert degree_of(m) == D
             assert not in_initial_ideal(m)
+
+
+def test_the_initial_ideal_cut_agrees_with_the_reference():
+    # head_in_initial_ideal is the cut that enumeration and the level-block
+    # certificate read; the reference reads the whole exponent vectors
+    seen = set()
+    for n in (3, 4, 5):
+        for D in sweep_classes(n, 3, range(-1, 4)):
+            for m in enumerate_monomials(D):
+                cut = in_initial_ideal(m)
+                assert head_in_initial_ideal(m.sigma[:-2], m.epsilon[:-2]) == cut, m
+                seen.add(cut)
+    assert seen == {False, True}
 
 
 def test_closed_form_levels_frozen():

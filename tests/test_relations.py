@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxline.coxmono import (
-    CoxMonomial,
-    enumerate_monomials,
-    enumerate_standard_monomials,
-    in_initial_ideal,
-)
+from coxline.coxmono import CoxMonomial, enumerate_standard_monomials
 from coxline.oracle import PointConfig, _rank_of_sparse_rows
 from coxline.picard import DivisorClass, is_nef
 from coxline.relations import (
@@ -27,6 +22,7 @@ from coxline.relations import (
     verify_relation_geometrically,
 )
 from plane_forms import Form
+from reference import enumerate_monomials, in_initial_ideal
 
 
 def sparse(m):
@@ -370,3 +366,13 @@ def test_division_agrees_with_sympy(pool, n):
     for p in checked:
         _, remainder = sympy.reduced(to_sympy(p), basis, *gens, order="grlex")
         assert sympy.expand(remainder - to_sympy(normal_form(p, rels))) == 0
+
+
+def test_a_monomial_prints_alone_as_it_does_in_a_polynomial():
+    # every free-ring monomial of degree <= 2L, that is of a class D with
+    # 2L - D effective: d = 0..2 and every a[i] in d-2..d
+    for n in (3, 4, 5):
+        for d in range(3):
+            for a in itertools.product(range(d - 2, d + 1), repeat=n):
+                for m in enumerate_monomials(DivisorClass(d, a)):
+                    assert str(m) == str(monomial_poly(n, sparse(m)))

@@ -6,15 +6,12 @@ ArithmeticError, or the sweep reports the check that failed, which the case
 turns into an ArithmeticError with `sweep_reports`.
 """
 
-import os
 import subprocess
 import sys
 
 import pytest
 
-import coxline
-
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(coxline.__file__)))
+from child_env import child_env
 
 PRELUDE = """
 from coxline import coxmono, relations
@@ -108,9 +105,8 @@ def test_planted_fault_raises_under_optimize(fault):
         "else:\n"
         "    print('missed')\n"
     )
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=child_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("caught:"), proc.stdout + proc.stderr
