@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import coxmono, oracle, picard, relations
 from .coxmono import enumerate_standard_monomials
@@ -61,18 +62,14 @@ class SweepReport:
 
 
 def nef_classes(n: int, d_max: int):
-    """All nef classes with 0 <= d <= d_max, lexicographic in (d, a1..an)."""
+    """All nef classes with 0 <= d <= d_max, lexicographic in (d, a1..an).
+
+    Each a with sum(a) <= d is one n-element combination c of range(d + n),
+    c[k] = a1 + ... + a(k+1) + k, and lexicographic order is the same on both.
+    """
     for d in range(0, d_max + 1):
-        yield from (DivisorClass(d, a) for a in _vectors_summing_at_most(d, n))
-
-
-def _vectors_summing_at_most(budget: int, parts: int):
-    if parts == 0:
-        yield ()
-        return
-    for first in range(budget + 1):
-        for rest in _vectors_summing_at_most(budget - first, parts - 1):
-            yield (first,) + rest
+        for c in combinations(range(d + n), n):
+            yield DivisorClass(d, [y - x - 1 for x, y in zip((-1, *c), c)])
 
 
 def run_sweep(cfg: PointConfig, d_max: int, rels=None, max_classes=None) -> SweepReport:

@@ -20,6 +20,7 @@ print through monomial_text, so the text of a monomial is written here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import NamedTuple
 
 from .picard import DivisorClass, is_nef
@@ -38,10 +39,11 @@ class CoxMonomial:
     epsilon: tuple[int, ...]
 
     def __init__(self, lam: int, sigma, epsilon):
-        # converted and checked in locals, so the fields are set in one step
-        lam = int(lam)
-        sigma = tuple(map(int, sigma))
-        epsilon = tuple(map(int, epsilon))
+        # converted by index, which rejects what int would truncate, and
+        # checked in locals, so the fields are set in one step
+        lam = index(lam)
+        sigma = tuple(map(index, sigma))
+        epsilon = tuple(map(index, epsilon))
         if len(sigma) != len(epsilon):
             raise ValueError("sigma and epsilon must have the same length")
         if len(sigma) < 2:
@@ -163,7 +165,6 @@ def enumerate_standard_monomials(D: DivisorClass) -> StandardMonomials:
     count = 0
     for lam in range(0, d + 1):
         sig_forced = tuple([ai - lam if ai > lam else 0 for ai in head])
-        eps_forced = tuple([lam - ai if lam > ai else 0 for ai in head])
         rest = d - lam - sum(sig_forced)
         # epsilon[i] = sigma[i] - a[i] + lam for the two free indices
         off_pen, off_last = lam - a_pen, lam - a_last
@@ -171,6 +172,7 @@ def enumerate_standard_monomials(D: DivisorClass) -> StandardMonomials:
         hi = rest - max(-off_last, 0)
         if lo > hi:
             continue
+        eps_forced = tuple([lam - ai if lam > ai else 0 for ai in head])
         run = StandardRun(lam, sig_forced, eps_forced, rest, lo, hi, off_pen, off_last)
         if head_in_initial_ideal(run.sigma_head, run.eps_head):
             raise ArithmeticError(f"enumerated level {run} of {D} lies in the initial ideal")

@@ -9,15 +9,16 @@ independently of any cone or counting formula.
 
 A configuration keeps only integer geometry: the points and the lines
 through q and each point, scaled once to primitive integer coordinates,
-and their incidence table.  Projective scaling multiplies each constraint
-row and each realized form by a nonzero constant, which changes neither
-vanishing nor rank, so the whole oracle computes over Z.  Fractions appear
-only where a config file is parsed and where a coefficient is printed: a
-realized form is its integer terms over one positive denominator, the
-product of the lines' leading coefficients, and each printed coefficient
-is that quotient in lowest terms, so every line reads with leading
-coefficient 1.  Products of lines are built one level run at a time
-(_run_products); nothing is stored beyond h0_rank's cache.
+and for each point the generator lines through it.  Projective scaling
+multiplies each constraint row and each realized form by a nonzero
+constant, which changes neither vanishing nor rank, so the whole oracle
+computes over Z.  Fractions appear only where a config file is parsed and
+where a coefficient is printed: a realized form is its integer terms over
+one positive denominator, the product of the lines' leading coefficients,
+and each printed coefficient is that quotient in lowest terms, so every
+line reads with leading coefficient 1.  Products of lines are built one
+level run at a time (_run_products); nothing is stored beyond h0_rank's
+cache.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm
-from operator import mul
 
 from . import coxmono, picard
 from .picard import DivisorClass
@@ -79,12 +79,15 @@ class PointConfig:
     theirs (they fix q, the meet of the lines), so projectively equal
     configs are equal.
 
-    incidence holds 0/1 bits from exact integer dot products: row 0 is the
-    base line y = 0 and row i + 1 is int_lines[i]; column j is int_points[j],
-    and a bit is 1 when that line passes through that point.  Multiplicity
-    is additive over the factors of a product of plane forms, so y^lam *
-    prod(l[i]^sigma[i]) vanishes at p[j] to order exactly
-    lam * incidence[0][j] + sum(sigma[i] * incidence[i + 1][j]).
+    incidence[j] lists, in ascending order, the generators whose line
+    passes through int_points[j], by exact integer dot products: 0 is the
+    base line y = 0 and i >= 1 is l[i] = int_lines[i - 1].  Multiplicity is
+    additive over the factors of a product of plane forms, so y^lam *
+    prod(l[i]^sigma[i]) vanishes at p[j] to order exactly the sum of the
+    exponents of the generators in incidence[j].  That is at most two
+    exponents: l[j] passes through p[j], and a second line l[i] through it
+    would make q, p[i] and p[j] collinear, which the constructor rejects,
+    so only y = 0 can join l[j].
 
     A config is an immutable value: the oracle stores nothing on it, and
     only h0_rank caches by config value.  Realized forms are built run by
@@ -126,9 +129,10 @@ class PointConfig:
             )
         object.__setattr__(self, "int_points", points)
         object.__setattr__(self, "int_lines", lines)
+        generators = tuple(enumerate(((0, 1, 0), *lines)))
         incidence = tuple(
-            tuple([0 if lx * px + ly * py + lz * pz else 1 for px, py, pz in points])
-            for lx, ly, lz in ((0, 1, 0), *lines)
+            tuple([g for g, (lx, ly, lz) in generators if not lx * px + ly * py + lz * pz])
+            for px, py, pz in points
         )
         object.__setattr__(self, "incidence", incidence)
 
@@ -508,11 +512,14 @@ def basis_failure(cfg: PointConfig, D: DivisorClass, mons) -> str | None:
     a run, and each exponent is monotone in s, so one degree check and the
     two ends cover the run.  Vanishing: multiplicity is additive over the
     factors of a product (Fulton, Algebraic Curves, ch. 3 section 1), so
-    the form of (lam, sigma) vanishes at p[j] to order exactly
-    lam * incidence[0][j] + sum(sigma[i] * incidence[i + 1][j]) (see
-    PointConfig), and it passes there when that order reaches a[j].  Along a
-    run only sigma[n-1] = s and sigma[n] = rest - s move, so the order is
-    affine in s and reaches a[j] on all of lo..hi when it does at both ends.
+    the form of (lam, sigma) vanishes at p[j] to order exactly the sum of
+    the exponents of the generators through p[j], incidence[j] (see
+    PointConfig), and it passes there when that order reaches a[j].  A
+    valid config has at most two generators through a point, so the order
+    is a sum of at most two exponents; a config with more is an
+    ArithmeticError.  Along a run only sigma[n-1] = s and sigma[n] =
+    rest - s move, so the order is affine in s, found in O(1) per point,
+    and reaches a[j] on all of lo..hi when it does at both ends.
     Only a run with a failing end is walked, s = lo..hi and then j, to name
     the first failure; no line product is built.  Independence is proved,
     not computed: when every run's head is forced and the runs of each
@@ -528,44 +535,48 @@ def basis_failure(cfg: PointConfig, D: DivisorClass, mons) -> str | None:
         raise ValueError(f"basis verification needs an effective class, got {D}")
     _check_n(cfg, D)
     runs = mons.runs if isinstance(mons, coxmono.StandardMonomials) else [coxmono.StandardRun.of(m) for m in mons]
-    d, a = D.d, D.a
-    k, head_a, a_pen, a_last = D.n - 2, a[:-2], a[-2], a[-1]
-    # per point p[j] with a[j] > 0, from its incidence bits b0 (y), hb (the
-    # head's lines), u and v (the last two lines): the order there of the
-    # form of (lam, head + (s, rest - s)) is (lam, *head, rest) . col + s * w
-    # with col = (b0, *hb, v) and w = u - v
-    needs = [
-        (j, aj, (b0, *hb, v), u - v)
-        for j, (aj, (b0, *hb, u, v)) in enumerate(zip(a, zip(*cfg.incidence)))
-        if aj > 0
-    ]
+    n, d, a = D.n, D.d, D.a
+    k, head_a, a_pen, a_last = n - 2, a[:-2], a[-2], a[-1]
+    # per point p[j] with a[j] > 0: the order there of the form of
+    # (lam, head + (s, rest - s)) is exps[i] + exps[i2] + s * w, where
+    # exps = (lam, *head, rest, 0) and i, i2 are the places of the
+    # generators through p[j] other than l[n-1]: y at 0, the head's lines at
+    # their own index and l[n] at rest, with the 0 at n filling a missing
+    # one.  w counts l[n-1] (s) once and l[n] (rest - s) minus once.
+    needs = []
+    for j, aj in enumerate(a):
+        if aj > 0:
+            on = cfg.incidence[j]
+            places = [min(g, n - 1) for g in on if g != n - 1]
+            if len(places) > 2:
+                raise ArithmeticError(f"{len(on)} generators pass through p{j + 1}; a valid config has at most two")
+            i, i2 = (*places, n, n)[:2]
+            needs.append((j, aj, i, i2, (n - 1 in on) - (n in on)))
     count = 0
     for lam, head, eps, rest, lo, hi, off_pen, off_last in runs:
-        # zip would truncate, so the length is compared first; eps then has
-        # it too
+        # zip would truncate, so the lengths are compared first; every
+        # exponent is monotone in s, so non-negative at both ends
         if (
             len(head) != k
-            or eps != tuple([lam + h - ai for h, ai in zip(head, head_a)])
+            or len(eps) != k
             or lam + sum(head) + rest != d
             or lam - off_pen != a_pen
             or lam - off_last != a_last
-        ):
-            return "degree"
-        # every exponent is monotone in s: non-negative at both ends
-        if (
-            lam < 0
+            or lam < 0
             or not 0 <= lo <= hi <= rest
             or lo + off_pen < 0
             or rest - hi + off_last < 0
-            or (k and min(head + eps) < 0)
         ):
             return "degree"
-        exps = (lam, *head, rest)
-        for _, aj, col, w in needs:
-            order = sum(map(mul, exps, col))
+        for h, e, ai in zip(head, eps, head_a):
+            if h < 0 or e < 0 or e != lam + h - ai:
+                return "degree"
+        exps = (lam, *head, rest, 0)
+        for _, aj, i, i2, w in needs:
+            order = exps[i] + exps[i2]
             if order + lo * w < aj or order + hi * w < aj:
                 first = next(
-                    j for s in range(lo, hi + 1) for j, aj, col, w in needs if sum(map(mul, exps, col)) + s * w < aj
+                    j for s in range(lo, hi + 1) for j, aj, i, i2, w in needs if exps[i] + exps[i2] + s * w < aj
                 )
                 return f"vanishing at p{first + 1}"
         count += hi - lo + 1

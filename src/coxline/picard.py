@@ -16,6 +16,7 @@ Everything here is exact integer arithmetic on immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 # one message for every constructor that takes n points: DivisorClass here,
 # PointConfig in the oracle
@@ -33,8 +34,10 @@ class DivisorClass:
     a: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
+        # index, not int: a float, a string or a Fraction is a TypeError,
+        # not truncated
+        object.__setattr__(self, "d", index(self.d))
+        object.__setattr__(self, "a", tuple(map(index, self.a)))
         if self.n < 2:
             raise ValueError(TOO_FEW_POINTS)
 
@@ -140,7 +143,7 @@ def chi(D: DivisorClass) -> int:
 
 
 def is_effective(D: DivisorClass) -> bool:
-    return D.d >= 0 and all(D.d - ai >= 0 for ai in D.a)
+    return D.d >= 0 and max(D.a) <= D.d
 
 
 def effective_coords(D: DivisorClass) -> EffectiveCoords | None:
@@ -151,7 +154,7 @@ def effective_coords(D: DivisorClass) -> EffectiveCoords | None:
 
 
 def is_nef(D: DivisorClass) -> bool:
-    return all(ai >= 0 for ai in D.a) and D.d >= sum(D.a)
+    return min(D.a) >= 0 and D.d >= sum(D.a)
 
 
 def nef_coords(D: DivisorClass) -> NefCoords | None:

@@ -1,5 +1,6 @@
 """CLI behaviour: parsing, payloads, exit codes, determinism."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -348,6 +349,19 @@ def test_nef_class_iteration_order():
     assert keys == sorted(keys)
     # d <= 2, a >= 0, sum(a) <= d: 1 + 3 + 6
     assert len(classes) == 10
+
+
+def test_nef_classes_are_the_filtered_product_in_order():
+    # the report's counts and each sweep item follow this exact sequence:
+    # every (d, a) with a in 0..d and sum(a) <= d, d ascending, a
+    # lexicographic, as itertools.product lists them
+    for n in range(2, 7):
+        expected = [
+            (d, a) for d in range(0, 7) for a in itertools.product(range(d + 1), repeat=n) if sum(a) <= d
+        ]
+        for d_max in range(0, 7):
+            got = [(D.d, D.a) for D in nef_classes(n, d_max)]
+            assert got == [(d, a) for d, a in expected if d <= d_max], (n, d_max)
 
 
 def test_run_sweep_reports_a_negative_level(monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for monomial degrees and standard-monomial enumeration/counting."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +42,14 @@ def sweep_classes(n, d_max, a_range):
     for d in range(0, d_max + 1):
         for a in itertools.product(a_range, repeat=n):
             yield DivisorClass(d, a)
+
+
+def test_exponents_must_be_integers():
+    # ints and bools pass; what int() would truncate or parse is refused
+    assert CoxMonomial(True, (0, 1), (False, 0)) == CoxMonomial(1, (0, 1), (0, 0))
+    for lam, sigma, eps in ((1.5, (0, 1), (0, 0)), (1, (0, 1.0), (0, 0)), (1, (0, 1), ("0", 0)), (Fraction(1), (0, 1), (0, 0))):
+        with pytest.raises(TypeError):
+            CoxMonomial(lam, sigma, eps)
 
 
 def test_generator_degrees():

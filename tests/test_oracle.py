@@ -208,8 +208,9 @@ def test_config_checks_agree_with_the_pairwise_fraction_reference():
         flines = [fraction_primitive(fraction_cross(tuple(map(Fraction, q)), p)) for p in fpoints]
         assert cfg.int_points == tuple(fraction_primitive(p) for p in fpoints)
         assert cfg.int_lines == tuple(flines)
+        generators = tuple(enumerate([(0, 1, 0), *flines]))
         assert cfg.incidence == tuple(
-            tuple(int(sum(map(mul, line, p)) == 0) for p in fpoints) for line in [(0, 1, 0), *flines]
+            tuple(g for g, line in generators if sum(map(mul, line, p)) == 0) for p in fpoints
         )
     with pytest.raises(ValueError, match="^p1, p4 and q are collinear"):
         PointConfig.explicit(*two_bad_pairs)
@@ -808,22 +809,26 @@ def test_a_deficient_level_block_falls_back_to_the_direct_rank(monkeypatch):
 
 def planted_lines(n, lines):
     """A new default config whose lines through q are replaced by lines,
-    and its incidence rows of those lines with them.  It still equals
-    PointConfig.default(n) as a value, so no cache keyed by config value
-    may be asked about it."""
+    and its incidence, the generators through each point, with them.  It
+    still equals PointConfig.default(n) as a value, so no cache keyed by
+    config value may be asked about it."""
     cfg = PointConfig.default(n)
     object.__setattr__(cfg, "int_lines", lines)
-    rows = tuple(tuple(int(sum(c * x for c, x in zip(line, p)) == 0) for p in cfg.int_points) for line in lines)
-    object.__setattr__(cfg, "incidence", cfg.incidence[:1] + rows)
+    generators = tuple(enumerate([(0, 1, 0), *lines]))
+    incidence = tuple(
+        tuple(g for g, line in generators if sum(c * x for c, x in zip(line, p)) == 0) for p in cfg.int_points
+    )
+    object.__setattr__(cfg, "incidence", incidence)
     return cfg
 
 
 def flipped_incidence(cfg, i, j):
-    """cfg, built afresh, with its incidence bit of row i (0 is y = 0, i > 0
-    the line int_lines[i - 1]) at int_points[j] flipped."""
-    rows = [list(row) for row in cfg.incidence]
-    rows[i][j] ^= 1
-    object.__setattr__(cfg, "incidence", tuple(map(tuple, rows)))
+    """cfg, built afresh, with generator i (0 is y = 0, i > 0 the line
+    int_lines[i - 1]) taken out of the generators through int_points[j] if
+    it is there, and put in if it is not."""
+    rows = [set(on) for on in cfg.incidence]
+    rows[j] ^= {i}
+    object.__setattr__(cfg, "incidence", tuple(tuple(sorted(on)) for on in rows))
     return cfg
 
 
@@ -846,6 +851,17 @@ def test_a_config_that_breaks_the_block_hypothesis_falls_back_to_the_rank():
         assert oracle.basis_failure(cfg, D, mons) == "rank"
     for cfg in (*reference_configs(), CFG3_ALT):
         assert oracle._level_blocks_independent(cfg)
+
+
+def test_a_point_on_three_generators_is_an_arithmetic_error():
+    # planted l1 = y: p3 lies on y, l1 and l3.  In a valid config l1 would
+    # then make q, p1 and p3 collinear, so the basis check, which reads at
+    # most two exponents per point, refuses the config
+    cfg = planted_lines(3, ((0, 1, 0), (1, 0, -1), (1, 0, -2)))
+    D = DivisorClass(2, (0, 0, 1))
+    assert cfg.incidence[2] == (0, 1, 3)
+    with pytest.raises(ArithmeticError, match="^3 generators pass through p3"):
+        oracle.basis_failure(cfg, D, enumerate_standard_monomials(D))
 
 
 def test_a_head_in_the_initial_ideal_is_not_certified():
@@ -982,9 +998,13 @@ def test_incidence_is_the_direct_check_of_each_generator_line():
     for cfg in (*reference_configs(), readme):
         n = cfg.n
         generators = [(1, (0,) * n)] + [(0, tuple(int(i == k) for k in range(n))) for i in range(n)]
-        expected = tuple(tuple(int(direct_vanishing(cfg, j, 1, lam, sigma)) for j in range(n)) for lam, sigma in generators)
+        expected = tuple(
+            tuple(g for g, (lam, sigma) in enumerate(generators) if direct_vanishing(cfg, j, 1, lam, sigma))
+            for j in range(n)
+        )
         assert cfg.incidence == expected, cfg
-        assert all(row[j] == 1 for j, row in enumerate(cfg.incidence[1:])), cfg
+        # l[j] and at most y = 0 besides pass through p[j]
+        assert all(on[-1] == j + 1 and on[:-1] in ((), (0,)) for j, on in enumerate(cfg.incidence)), cfg
 
 
 def test_vanishing_by_incidence_agrees_with_the_direct_check():
@@ -1098,6 +1118,35 @@ def test_the_runs_agree_with_the_per_monomial_reference(monkeypatch):
 def test_the_runs_agree_with_the_reference_on_random_collinear_configs(case):
     cfg, D = case
     assume(picard.is_effective(D))
+    assert_runs_match_the_reference(cfg, D, enumerate_standard_monomials(D), monomial_listing(D))
+
+
+@st.composite
+def bent_classes(draw):
+    """A random config with at least one point off the base line, where
+    its own line is the only generator through it, q off y = 0, and a
+    class with d <= 4 and a_i in -1..d, so effective."""
+    n = draw(st.integers(2, 4))
+    off = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    nonzero = rationals.filter(lambda y: y != 0)
+    points = [(draw(rationals), draw(nonzero) if o else 0, 1) for o in off]
+    q = (draw(rationals), draw(nonzero), draw(rationals))
+    d = draw(st.integers(0, 4))
+    a = tuple(draw(st.lists(st.integers(-1, d), min_size=n, max_size=n)))
+    try:
+        cfg = PointConfig.explicit(points, q)
+    except ValueError:  # q on a point, or two points on a line through q
+        assume(False)
+    return cfg, DivisorClass(d, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bent_classes())
+def test_the_runs_agree_with_the_reference_on_random_bent_configs(case):
+    # off the base line the enumerated forms can miss a point, so the
+    # vanishing verdict, read from the generators through each point, must
+    # name the point that the direct check of each form names first
+    cfg, D = case
     assert_runs_match_the_reference(cfg, D, enumerate_standard_monomials(D), monomial_listing(D))
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -274,6 +275,14 @@ def test_n_must_be_at_least_two():
         DivisorClass(1, (0,))
     with pytest.raises(ValueError):
         DivisorClass(1, ())
+
+
+def test_entries_must_be_integers():
+    # ints and bools pass; what int() would truncate or parse is refused
+    assert DivisorClass(True, (2, False)) == DivisorClass(1, (2, 0))
+    for d, a in ((2.7, (1, 3)), (2, (1.9, 3)), (2, (1, "3")), ("2", (1, 3)), (Fraction(4, 2), (1, 1))):
+        with pytest.raises(TypeError):
+            DivisorClass(d, a)
 
 
 def test_arbitrary_precision():

@@ -12,7 +12,10 @@ falls on both sides alike.  With --trace 0, per end-to-end metric the output
 gives each side's median and quartiles over its runs, the number of pairs in
 which the change read better, and the change's worsening of the median
 relative to the parent's (negative means better) beside the metric's bound
-in BENCHMARK.json.  With --trace 1, it gives each side's per-layer figures.
+in BENCHMARK.json.  Each run records its number of timed passes, and
+peak_rss_mb gives each side's median of them: the worker's high-water mark
+grows with the pass count, so an RSS move that only follows it shows.  With
+--trace 1, it gives each side's per-layer figures.
 Standard library only; the checkouts' own perfbench does the measuring.
 """
 
@@ -54,7 +57,8 @@ def commit_of(root):
 
 
 def run_once(root, workload, seed, seconds, trace):
-    """perfbench's result object for one run, or an error record."""
+    """perfbench's result object for one run, with its number of timed
+    passes, or an error record."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -64,6 +68,8 @@ def run_once(root, workload, seed, seconds, trace):
     except (IndexError, ValueError):
         return {"error": f"exit {proc.returncode}", "stderr": proc.stderr[-2000:]}
     result["exit"] = proc.returncode
+    with open(os.path.join(root, "perfbench", "out", f"last-{workload}-trace{trace}.json")) as fh:
+        result["passes"] = len(json.load(fh)["passes"])
     if proc.stderr.strip():
         result["stderr"] = proc.stderr[-2000:]
     return result
@@ -98,6 +104,11 @@ def summarize(pairs, spec):
             "worsening": -change if higher else change,
             "bound": m["bound"],
         }
+        if name == "peak_rss_mb":
+            out[name]["median_passes"] = {
+                "parent": statistics.median(p["passes"] for p, _ in good),
+                "change": statistics.median(c["passes"] for _, c in good),
+            }
     return out
 
 
