@@ -8,8 +8,10 @@ dimension claim can be settled by the exact rank of a constraint matrix,
 independently of any cone or counting formula.
 
 A configuration keeps only integer geometry: the points and the lines
-through q and each point, scaled once to primitive integer coordinates,
-and for each point the generator lines through it.  Projective scaling
+through q and each point, scaled once to primitive integer coordinates.
+A form y^lam * prod(l[i]^sigma[i]) vanishes at p[j] to order sigma[j],
+plus lam when p[j] lies on y = 0, since l[j] is the one line through q
+that passes through p[j] (PointConfig).  Projective scaling
 multiplies each constraint row and each realized form by a nonzero
 constant, which changes neither vanishing nor rank, so the whole oracle
 computes over Z.  Fractions appear only where a config file is parsed and
@@ -27,6 +29,7 @@ from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm
+from operator import mul
 
 from . import coxmono, picard
 from .picard import DivisorClass
@@ -79,15 +82,14 @@ class PointConfig:
     theirs (they fix q, the meet of the lines), so projectively equal
     configs are equal.
 
-    incidence[j] lists, in ascending order, the generators whose line
-    passes through int_points[j], by exact integer dot products: 0 is the
-    base line y = 0 and i >= 1 is l[i] = int_lines[i - 1].  Multiplicity is
-    additive over the factors of a product of plane forms, so y^lam *
-    prod(l[i]^sigma[i]) vanishes at p[j] to order exactly the sum of the
-    exponents of the generators in incidence[j].  That is at most two
-    exponents: l[j] passes through p[j], and a second line l[i] through it
-    would make q, p[i] and p[j] collinear, which the constructor rejects,
-    so only y = 0 can join l[j].
+    The generators through p[j] = int_points[j - 1] are l[j] =
+    int_lines[j - 1], and y = 0 when p[j]'s y coordinate is 0.  The
+    constructor checks exactly that l[j] passes through p[j], a self-check
+    of _cross and _primitive; no other l[i] does, since then q, p[i] and
+    p[j] would be collinear, which it rejects, and y = 0 is none of the
+    l[i], since q is off it.  Multiplicity is additive over the factors of
+    a product of plane forms, so y^lam * prod(l[i]^sigma[i]) vanishes at
+    p[j] to order exactly sigma[j], plus lam when p[j] lies on y = 0.
 
     A config is an immutable value: the oracle stores nothing on it, and
     only h0_rank caches by config value.  Realized forms are built run by
@@ -100,7 +102,6 @@ class PointConfig:
     q: InitVar[tuple]
     int_points: tuple[IntVec3, ...] = field(init=False)
     int_lines: tuple[IntVec3, ...] = field(init=False)
-    incidence: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, points, q):
         points = tuple(_primitive(p) for p in points)
@@ -113,6 +114,9 @@ class PointConfig:
             if p == q:
                 raise ValueError(f"q coincides with p{i}")
         lines = tuple(_primitive(_cross(q, p)) for p in points)
+        for j, (p, line) in enumerate(zip(points, lines), start=1):
+            if sum(map(mul, p, line)):
+                raise ArithmeticError(f"the line through q and p{j} misses p{j}: {line}")
         # p[i], p[j] and q are collinear, or p[i] = p[j], exactly when their
         # lines through q are equal: the lowest group's first two are the
         # first such pair (i, j)
@@ -129,12 +133,6 @@ class PointConfig:
             )
         object.__setattr__(self, "int_points", points)
         object.__setattr__(self, "int_lines", lines)
-        generators = tuple(enumerate(((0, 1, 0), *lines)))
-        incidence = tuple(
-            tuple([g for g, (lx, ly, lz) in generators if not lx * px + ly * py + lz * pz])
-            for px, py, pz in points
-        )
-        object.__setattr__(self, "incidence", incidence)
 
     @property
     def n(self) -> int:
@@ -512,14 +510,11 @@ def basis_failure(cfg: PointConfig, D: DivisorClass, mons) -> str | None:
     a run, and each exponent is monotone in s, so one degree check and the
     two ends cover the run.  Vanishing: multiplicity is additive over the
     factors of a product (Fulton, Algebraic Curves, ch. 3 section 1), so
-    the form of (lam, sigma) vanishes at p[j] to order exactly the sum of
-    the exponents of the generators through p[j], incidence[j] (see
-    PointConfig), and it passes there when that order reaches a[j].  A
-    valid config has at most two generators through a point, so the order
-    is a sum of at most two exponents; a config with more is an
-    ArithmeticError.  Along a run only sigma[n-1] = s and sigma[n] =
-    rest - s move, so the order is affine in s, found in O(1) per point,
-    and reaches a[j] on all of lo..hi when it does at both ends.
+    the form of (lam, sigma) vanishes at p[j] to order exactly sigma[j],
+    plus lam when p[j] lies on y = 0 (see PointConfig), and it passes there
+    when that order reaches a[j].  Along a run only sigma[n-1] = s and
+    sigma[n] = rest - s move, so the order is affine in s, found in O(1)
+    per point, and reaches a[j] on all of lo..hi when it does at both ends.
     Only a run with a failing end is walked, s = lo..hi and then j, to name
     the first failure; no line product is built.  Independence is proved,
     not computed: when every run's head is forced and the runs of each
@@ -535,23 +530,17 @@ def basis_failure(cfg: PointConfig, D: DivisorClass, mons) -> str | None:
         raise ValueError(f"basis verification needs an effective class, got {D}")
     _check_n(cfg, D)
     runs = mons.runs if isinstance(mons, coxmono.StandardMonomials) else [coxmono.StandardRun.of(m) for m in mons]
-    n, d, a = D.n, D.d, D.a
-    k, head_a, a_pen, a_last = n - 2, a[:-2], a[-2], a[-1]
+    d, a = D.d, D.a
+    k, head_a, a_pen, a_last = D.n - 2, a[:-2], a[-2], a[-1]
     # per point p[j] with a[j] > 0: the order there of the form of
-    # (lam, head + (s, rest - s)) is exps[i] + exps[i2] + s * w, where
-    # exps = (lam, *head, rest, 0) and i, i2 are the places of the
-    # generators through p[j] other than l[n-1]: y at 0, the head's lines at
-    # their own index and l[n] at rest, with the 0 at n filling a missing
-    # one.  w counts l[n-1] (s) once and l[n] (rest - s) minus once.
-    needs = []
-    for j, aj in enumerate(a):
-        if aj > 0:
-            on = cfg.incidence[j]
-            places = [min(g, n - 1) for g in on if g != n - 1]
-            if len(places) > 2:
-                raise ArithmeticError(f"{len(on)} generators pass through p{j + 1}; a valid config has at most two")
-            i, i2 = (*places, n, n)[:2]
-            needs.append((j, aj, i, i2, (n - 1 in on) - (n in on)))
+    # (lam, head + (s, rest - s)) is sigma[j] + lam * on_base, where
+    # sigma[j] = exps[j] + s * w, exps = (*head, 0, rest), and w is 0 at the
+    # head's points, +1 at p[n-1] and -1 at p[n]
+    needs = [
+        (j, aj, cfg.int_points[j][1] == 0, w)
+        for j, (aj, w) in enumerate(zip(a, (0,) * k + (1, -1)))
+        if aj > 0
+    ]
     count = 0
     for lam, head, eps, rest, lo, hi, off_pen, off_last in runs:
         # zip would truncate, so the lengths are compared first; every
@@ -571,12 +560,15 @@ def basis_failure(cfg: PointConfig, D: DivisorClass, mons) -> str | None:
         for h, e, ai in zip(head, eps, head_a):
             if h < 0 or e < 0 or e != lam + h - ai:
                 return "degree"
-        exps = (lam, *head, rest, 0)
-        for _, aj, i, i2, w in needs:
-            order = exps[i] + exps[i2]
+        exps = (*head, 0, rest)
+        for j, aj, on_base, w in needs:
+            order = exps[j] + lam * on_base
             if order + lo * w < aj or order + hi * w < aj:
                 first = next(
-                    j for s in range(lo, hi + 1) for j, aj, i, i2, w in needs if exps[i] + exps[i2] + s * w < aj
+                    j
+                    for s in range(lo, hi + 1)
+                    for j, aj, on_base, w in needs
+                    if exps[j] + lam * on_base + s * w < aj
                 )
                 return f"vanishing at p{first + 1}"
         count += hi - lo + 1

@@ -54,13 +54,6 @@ class DivisorClass:
         """The class L."""
         return cls(1, (0,) * n)
 
-    @classmethod
-    def exceptional(cls, n: int, i: int) -> "DivisorClass":
-        """The class E_i, i in 1..n."""
-        if not 1 <= i <= n:
-            raise ValueError(f"exceptional index {i} out of range 1..{n}")
-        return cls(0, tuple(-1 if j == i - 1 else 0 for j in range(n)))
-
     def _check_same_lattice(self, other: "DivisorClass"):
         if self.n != other.n:
             raise ValueError(f"classes live in different lattices: n={self.n} vs n={other.n}")

@@ -1,9 +1,9 @@
 """Reference definitions for the tests, written from the definitions rather
 than from the library's code paths: the degree of a monomial, membership in
 the initial ideal, the monomials of the free ring in one degree, the
-intersection form, the canonical class, and the classes that the cone and
-stripping coordinates stand for.  No code of coxline calls these; the tests
-check the library against them.
+intersection form, the canonical and exceptional classes, and the classes
+that the cone and stripping coordinates stand for.  No code of coxline
+calls these; the tests check the library against them.
 """
 
 from coxline.coxmono import CoxMonomial
@@ -60,6 +60,13 @@ def intersect(A: DivisorClass, B: DivisorClass) -> int:
 def canonical_class(n: int) -> DivisorClass:
     """K = -3L + E[1] + ... + E[n]; never effective on these surfaces."""
     return DivisorClass(-3, (-1,) * n)
+
+
+def exceptional(n: int, i: int) -> DivisorClass:
+    """The class E_i, i in 1..n."""
+    if not 1 <= i <= n:
+        raise ValueError(f"exceptional index {i} out of range 1..{n}")
+    return DivisorClass(0, tuple(-1 if j == i - 1 else 0 for j in range(n)))
 
 
 def effective_divisor(coords) -> DivisorClass:

@@ -15,7 +15,7 @@ from coxline.coxmono import (
 )
 from coxline.oracle import PointConfig, basis_failure
 from coxline.picard import DivisorClass, chi, is_effective, is_nef
-from reference import degree_of, enumerate_monomials, in_initial_ideal
+from reference import degree_of, enumerate_monomials, exceptional, in_initial_ideal
 
 
 def brute_standard_monomials(D):
@@ -202,7 +202,7 @@ def hilbert_function(D):
 
 def test_hilbert_function_examples():
     assert hilbert_function(DivisorClass.line(5)) == 3
-    E1 = DivisorClass.exceptional(3, 1)
+    E1 = exceptional(3, 1)
     assert hilbert_function(E1) == 1
     assert hilbert_function(DivisorClass(2, (0, 0, 0))) == 6
 

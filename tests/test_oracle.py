@@ -208,10 +208,12 @@ def test_config_checks_agree_with_the_pairwise_fraction_reference():
         flines = [fraction_primitive(fraction_cross(tuple(map(Fraction, q)), p)) for p in fpoints]
         assert cfg.int_points == tuple(fraction_primitive(p) for p in fpoints)
         assert cfg.int_lines == tuple(flines)
+        # the basis check's rule: the generators through p[j] are l[j], and
+        # y = 0 when p[j]'s y is 0
         generators = tuple(enumerate([(0, 1, 0), *flines]))
-        assert cfg.incidence == tuple(
-            tuple(g for g, line in generators if sum(map(mul, line, p)) == 0) for p in fpoints
-        )
+        for j, p in enumerate(fpoints, start=1):
+            through = tuple(g for g, line in generators if sum(map(mul, line, p)) == 0)
+            assert through == ((0, j) if p[1] == 0 else (j,)), (points, q, j)
     with pytest.raises(ValueError, match="^p1, p4 and q are collinear"):
         PointConfig.explicit(*two_bad_pairs)
     assert seen == {"valid", *REJECTIONS}, seen
@@ -476,8 +478,9 @@ def pool_a_config(n):
 
 
 # (n, j): the non-collinear configurations of the reference cross-checks,
-# with p[j] off the base line.  Only at an off-line point can a wrong
-# incidence bit hide a real vanishing failure, so the off-line point is p1,
+# with p[j] off the base line.  Only at an off-line point does y's exponent
+# not count, so only there can a check that counts it anyway hide a real
+# vanishing failure; the off-line point is p1,
 # p2 and the last point p[n] in turn; n = 4, with five times the classes of
 # n = 3, has p1 only
 BENT = ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (3, 3))
@@ -808,27 +811,19 @@ def test_a_deficient_level_block_falls_back_to_the_direct_rank(monkeypatch):
 
 
 def planted_lines(n, lines):
-    """A new default config whose lines through q are replaced by lines,
-    and its incidence, the generators through each point, with them.  It
-    still equals PointConfig.default(n) as a value, so no cache keyed by
+    """A new default config whose lines through q are replaced by lines.
+    It still equals PointConfig.default(n) as a value, so no cache keyed by
     config value may be asked about it."""
     cfg = PointConfig.default(n)
     object.__setattr__(cfg, "int_lines", lines)
-    generators = tuple(enumerate([(0, 1, 0), *lines]))
-    incidence = tuple(
-        tuple(g for g, line in generators if sum(c * x for c, x in zip(line, p)) == 0) for p in cfg.int_points
-    )
-    object.__setattr__(cfg, "incidence", incidence)
     return cfg
 
 
-def flipped_incidence(cfg, i, j):
-    """cfg, built afresh, with generator i (0 is y = 0, i > 0 the line
-    int_lines[i - 1]) taken out of the generators through int_points[j] if
-    it is there, and put in if it is not."""
-    rows = [set(on) for on in cfg.incidence]
-    rows[j] ^= {i}
-    object.__setattr__(cfg, "incidence", tuple(tuple(sorted(on)) for on in rows))
+def lifted_p1(cfg):
+    """cfg, built afresh, with p1 moved off y = 0 and its line through q
+    kept, so that the basis check no longer counts y's exponent there."""
+    (x, _, z), *rest = cfg.int_points
+    object.__setattr__(cfg, "int_points", ((x, 1, z), *rest))
     return cfg
 
 
@@ -851,17 +846,6 @@ def test_a_config_that_breaks_the_block_hypothesis_falls_back_to_the_rank():
         assert oracle.basis_failure(cfg, D, mons) == "rank"
     for cfg in (*reference_configs(), CFG3_ALT):
         assert oracle._level_blocks_independent(cfg)
-
-
-def test_a_point_on_three_generators_is_an_arithmetic_error():
-    # planted l1 = y: p3 lies on y, l1 and l3.  In a valid config l1 would
-    # then make q, p1 and p3 collinear, so the basis check, which reads at
-    # most two exponents per point, refuses the config
-    cfg = planted_lines(3, ((0, 1, 0), (1, 0, -1), (1, 0, -2)))
-    D = DivisorClass(2, (0, 0, 1))
-    assert cfg.incidence[2] == (0, 1, 3)
-    with pytest.raises(ArithmeticError, match="^3 generators pass through p3"):
-        oracle.basis_failure(cfg, D, enumerate_standard_monomials(D))
 
 
 def test_a_head_in_the_initial_ideal_is_not_certified():
@@ -984,31 +968,31 @@ def bent_config(n, j):
 def direct_vanishing(cfg, j, mult, lam, sigma):
     """Exact dot check of the realized form of (lam, sigma) against the
     scanned rows of order-mult vanishing at p[j]: the per-form reference
-    for the incidence check of basis_failure."""
+    for the vanishing check of basis_failure."""
     vec = realized_vector(cfg, lam, sigma)
     rows = scanned_rows(cfg.int_points[j], lam + sum(sigma), mult)
     return all(sum(c * row.get(k, 0) for k, c in vec.items()) == 0 for row in rows)
 
 
-def test_incidence_is_the_direct_check_of_each_generator_line():
+def test_the_generators_through_a_point_are_its_line_and_y_on_the_base_line():
     # y and each line through q, checked at every point by the order-1 dot
     # check of its realized form, on every reference configuration and the
-    # README's rational one
+    # README's rational one: exactly l[j] passes through p[j], and y = 0
+    # does when p[j]'s y is 0
     readme = PointConfig.collinear((0, Fraction(1, 2), 7), q=(1, 2, 1))
+    on_base = set()
     for cfg in (*reference_configs(), readme):
         n = cfg.n
         generators = [(1, (0,) * n)] + [(0, tuple(int(i == k) for k in range(n))) for i in range(n)]
-        expected = tuple(
-            tuple(g for g, (lam, sigma) in enumerate(generators) if direct_vanishing(cfg, j, 1, lam, sigma))
-            for j in range(n)
-        )
-        assert cfg.incidence == expected, cfg
-        # l[j] and at most y = 0 besides pass through p[j]
-        assert all(on[-1] == j + 1 and on[:-1] in ((), (0,)) for j, on in enumerate(cfg.incidence)), cfg
+        for j, p in enumerate(cfg.int_points):
+            through = tuple(g for g, (lam, sigma) in enumerate(generators) if direct_vanishing(cfg, j, 1, lam, sigma))
+            assert through == ((0, j + 1) if p[1] == 0 else (j + 1,)), (cfg, j)
+            on_base.add(p[1] == 0)
+    assert on_base == {False, True}
 
 
 def test_vanishing_by_incidence_agrees_with_the_direct_check():
-    # the vanishing verdict, from the incidence table, must name the first
+    # the vanishing verdict, from each point's line and y, must name the first
     # point at which the direct check of the realized form fails, for every
     # monomial of every effective class with a_i in -1..d, d <= 6, n = 2..4
     failures = 0
@@ -1024,10 +1008,10 @@ def test_vanishing_by_incidence_agrees_with_the_direct_check():
 
 def test_a_line_product_that_misses_its_point_is_rejected(monkeypatch):
     # every multiplication by l1 made by the last line instead: the direct
-    # check finds that the form of s1 no longer vanishes at p1.  The same
-    # fault as an incidence bit, l1 off p1, fails the basis check there.
-    # The direct check is taken uncached, since its cache is keyed by config
-    # value
+    # check finds that the form of s1 no longer vanishes at p1.  p1 moved
+    # off y = 0, where the forms of the class then fall short because y no
+    # longer counts, fails the basis check there.  The direct check is taken
+    # uncached, since its cache is keyed by config value
     real = oracle._times_line
     cases = (
         (PointConfig.default, 3, DivisorClass(2, (1, 1, 0))),
@@ -1040,7 +1024,7 @@ def test_a_line_product_that_misses_its_point_is_rejected(monkeypatch):
             patch.setattr(oracle, "_times_line", lambda form, line: real(form, last if line == first else line))
             assert not direct_vanishing.__wrapped__(cfg, 0, 1, 0, (1,) + (0,) * (n - 1))
     for build, n, D in cases:
-        cfg = flipped_incidence(build(n), 1, 0)
+        cfg = lifted_p1(build(n))
         assert oracle.basis_failure(cfg, D, enumerate_standard_monomials(D)) == "vanishing at p1"
         assert not verify_enumerated(cfg, D)
         assert verify_enumerated(build(n), D)

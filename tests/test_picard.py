@@ -23,6 +23,7 @@ from coxline.picard import (
 from reference import (
     canonical_class,
     effective_divisor,
+    exceptional,
     fixed_divisor,
     fixed_is_empty,
     intersect,
@@ -46,7 +47,7 @@ def small_classes(n, d_range, a_range):
 
 def test_intersection_basis_values():
     L = DivisorClass.line(3)
-    E1 = DivisorClass.exceptional(3, 1)
+    E1 = exceptional(3, 1)
     assert intersect(L, L) == 1
     assert intersect(L - E1, E1) == 1
     assert intersect(E1, E1) == -1
@@ -107,7 +108,7 @@ def test_choose2_convention():
 
 
 def test_effectivity_examples():
-    E1 = DivisorClass.exceptional(3, 1)
+    E1 = exceptional(3, 1)
     assert is_effective(E1)
     assert effective_coords(E1).m == 0
     assert effective_coords(E1).c == (1, 0, 0)
@@ -120,7 +121,7 @@ def test_effectivity_examples():
 
 def test_nef_examples():
     L = DivisorClass.line(3)
-    E1 = DivisorClass.exceptional(3, 1)
+    E1 = exceptional(3, 1)
     assert is_nef(L - E1)
     assert not is_nef(DivisorClass(2, (1, 1, 1)))
     assert not is_nef(E1)
@@ -151,7 +152,7 @@ def test_nef_implies_effective():
 def test_nef_iff_nonnegative_against_effective_generators():
     # nefness is exactly non-negative intersection with the effective generators
     for n in (2, 3):
-        gens = [DivisorClass.exceptional(n, i) for i in range(1, n + 1)]
+        gens = [exceptional(n, i) for i in range(1, n + 1)]
         gens.append(DivisorClass(1, (1,) * n))
         for D in small_classes(n, range(-1, 4), range(-2, 4)):
             assert is_nef(D) == all(intersect(D, G) >= 0 for G in gens)
@@ -206,7 +207,7 @@ def test_strip_preserves_sections_at_every_step():
             stepped = False
             for i in range(1, 4):
                 if current.a[i - 1] < 0:
-                    current = current - DivisorClass.exceptional(3, i)
+                    current = current - exceptional(3, i)
                     stepped = True
                     break
             if not stepped:

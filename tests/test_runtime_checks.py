@@ -55,13 +55,23 @@ real = coxmono.StandardRun
 coxmono.StandardRun = lambda lam, sh, eh, rest, lo, hi, *offs: real(lam, sh, eh, rest, lo, hi + 1, *offs)
 sweep_reports("standard monomial count", PointConfig.default(3), 2)
 """,
-    # l1 taken out of the generators through p1 on a fresh default config:
-    # the forms that vanish at p1 only through s1 now fall short there,
-    # which the vanishing check of the basis check catches
-    "incidence bit": """
+    # p1 moved off y = 0 on a fresh default config: y no longer counts
+    # there, so the forms that vanish at p1 through y fall short, which the
+    # vanishing check of the basis check catches
+    "base-line bit": """
 cfg = PointConfig.default(3)
-object.__setattr__(cfg, "incidence", ((0,),) + cfg.incidence[1:])
+(x, _, z), *rest = cfg.int_points
+object.__setattr__(cfg, "int_points", ((x, 1, z), *rest))
 sweep_reports("basis independence", cfg, 2)
+""",
+    # a cross product one off in x: the line it gives through q and p2
+    # misses p2, which the constructor's check of each point's own line,
+    # the fact the basis check's vanishing rests on, catches
+    "own line": """
+from coxline import oracle
+real = oracle._cross
+oracle._cross = lambda p, q: (lambda x, y, z: (x + 1, y, z))(*real(p, q))
+PointConfig.default(3)
 """,
     # one coefficient of every line product off by 1: each step of a level
     # run multiplies by l[n-1] and divides exactly by l[n], which the

@@ -1,6 +1,7 @@
 """The package's surface: every top-level function and class of
-src/coxline has a caller besides its own definition, so the package holds
-only what its commands, its library example and the benchmark use.
+src/coxline, and every method, classmethod and property of its classes,
+has a caller besides its own definition, so the package holds only what
+its commands, its library example and the benchmark use.
 
 References are counted in the code of src/ (names and attributes, not
 docstrings or comments), and as whole words in perfbench/*.py, tools/*.py
@@ -11,8 +12,10 @@ The guard is coarse.  It matches by bare name: any ast name or attribute
 with the same identifier anywhere in src/ counts as a caller, whatever
 object it refers to, and so does a whole-word hit anywhere in the perfbench
 and tools files, comments and strings included.  So a test-only function
-with a common name (h0, chi) would pass.  It checks top-level definitions
-only, not methods: a method that only tests call is not caught.
+with a common name (h0, chi) would pass.  Dunder methods, operators
+included, are not checked: Python calls them through syntax, which the
+bare-name rule cannot see, so an operator that only tests use is not
+caught.
 """
 
 import ast
@@ -29,14 +32,24 @@ def library_example() -> str:
     return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
-def test_every_top_level_definition_has_a_caller():
-    definitions = []  # (name, file, first line, last line)
-    references = []  # (name, file, line)
+def surface():
+    """The definitions the guard checks, as (name, file, first line, last
+    line), and the references that count, as the identifiers of src/ with
+    their file and line and the text of the README's library example and
+    the perfbench and tools files."""
+    top_level, methods, references = [], [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.append((node.name, path, node.lineno, node.end_lineno))
+                top_level.append((node.name, path, node.lineno, node.end_lineno))
+            if isinstance(node, ast.ClassDef):
+                methods.extend(
+                    (item.name, path, item.lineno, item.end_lineno)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                )
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 references.append((node.id, path, node.lineno))
@@ -45,6 +58,11 @@ def test_every_top_level_definition_has_a_caller():
     outside = library_example() + "".join(
         path.read_text() for folder in ("perfbench", "tools") for path in sorted((ROOT / folder).glob("*.py"))
     )
+    return top_level, methods, references, outside
+
+
+def uncalled(definitions, references, outside):
+    """The definitions that no reference names outside their own lines."""
     unused = []
     for name, path, first, last in definitions:
         in_src = any(
@@ -52,4 +70,16 @@ def test_every_top_level_definition_has_a_caller():
         )
         if not in_src and not re.search(rf"\b{re.escape(name)}\b", outside):
             unused.append(f"{path.name}: {name}")
+    return unused
+
+
+def test_every_top_level_definition_has_a_caller():
+    top_level, _, references, outside = surface()
+    unused = uncalled(top_level, references, outside)
     assert not unused, f"defined in src/ but used only by tests or not at all: {unused}"
+
+
+def test_every_method_has_a_caller():
+    _, methods, references, outside = surface()
+    unused = uncalled(methods, references, outside)
+    assert not unused, f"method in src/ used only by tests or not at all: {unused}"

@@ -15,14 +15,16 @@ alike):
   and 40 these include `basis "30 1 25 25"` and `basis "40 20 10 10"`;
 - `verify` sweeps of that rational configuration at --dmax 12 and 16;
 - `--json --n N relations` on the default configuration at n = 15, 30,
-  45 and 60 (the series `relations`, whose size column d holds n).
+  45 and 60 (the series `relations`, whose size column d holds n);
+- `--n N h0 "0 ... 0"` on the default configuration at n = 500, 1000,
+  2000 and 4000, whose time is mostly building the configuration (the
+  series `config`, whose size column d holds n).
 
 The child process wraps a few of coxline's functions in timers and reports,
 per stage, the calls and the self time (time inside the function minus the
 wrapped functions it calls): picard.h0, picard.strip_base_components,
 coxmono.enumerate_standard_monomials, coxmono.count_standard_monomials_closed_form,
-oracle.constraint_rows, oracle.h0_rank, oracle.realize_run (or, in a
-checkout without it, oracle.realize_monomial), oracle.verify_basis_independence,
+oracle.constraint_rows, oracle.h0_rank, oracle.realize_run, oracle.verify_basis_independence,
 relations.derive_relations, relations.spoly_reduce and
 oracle._rank_of_sparse_rows, whose inputs' largest matrix and
 coefficient bit length are recorded too.  A generator such as realize_run
@@ -31,11 +33,11 @@ case that runs past --timeout is recorded as such.  Per case the output
 gives both sides' figures, whether their stdout and exit codes are
 byte-identical, and the parent/change ratio of the in-process time; per
 series it gives the slope of log(time) against log(d) (log(n) for
-`relations`), or null when the series never reaches FIT_FLOOR_S or has
-fewer than 3 timed points.  The
-`verify` sweep series have 2 points (SWEEP_DMAX), and a fit through two
-single runs moves with one slow run, so they get no slope; compare their
-per-case times instead.  Standard library only.
+`relations` and `config`), or null when the series never reaches
+FIT_FLOOR_S or has fewer than 3 timed points.  The `verify` sweep series
+have 2 points (SWEEP_DMAX), and a fit through two single runs moves with
+one slow run, so they get no slope; compare their per-case times instead.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ SHAPES = {
 }
 SWEEP_DMAX = (12, 16)
 RELATION_NS = (15, 30, 45, 60)
+CONFIG_NS = (500, 1000, 2000, 4000)
 # a series whose largest time is below this is flat CLI work that does not
 # grow with d, so an exponent fitted to it is noise
 FIT_FLOOR_S = 0.1
@@ -75,7 +78,7 @@ STAGES = {
     "coxmono.closed_form": (coxmono, "count_standard_monomials_closed_form"),
     "oracle.constraint_rows": (oracle, "constraint_rows"),
     "oracle.h0_rank": (oracle, "h0_rank"),
-    "oracle.realize": (oracle, "realize_run" if hasattr(oracle, "realize_run") else "realize_monomial"),
+    "oracle.realize": (oracle, "realize_run"),
     "oracle.basis_verify": (oracle, "verify_basis_independence"),
     "oracle.rank": (oracle, "_rank_of_sparse_rows"),
     "relations.derive_relations": (relations, "derive_relations"),
@@ -181,6 +184,9 @@ def cases(readme_cfg):
     for n in RELATION_NS:
         yield {"config": "default", "series": "relations", "d": n,
                "argv": ["--json", "--n", str(n), "relations"]}
+    for n in CONFIG_NS:
+        yield {"config": "default", "series": "config", "d": n,
+               "argv": ["--n", str(n), "h0", " ".join(["0"] * (n + 1))]}
 
 
 def slope(points):
